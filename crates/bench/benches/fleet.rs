@@ -10,10 +10,13 @@
 //! extra node — pinned as an assertion — and
 //! the instrumented run records the `{m, wall_ms, crowd_tasks}` curve as
 //! the `fleet_bench` section of `results/BENCH_fleet.json`, with the
-//! M=4-beats-single-node headline asserted.
+//! M=4-beats-single-node headline asserted. Each multi-node row also
+//! records the anti-entropy bytes of the busiest link against one
+//! whole-store ship, and asserts that no link carries more than 1.25× a
+//! whole-store ship per audit: the exchange ships deltas, not stores.
 
 use coverage_core::prelude::*;
-use coverage_service::fleet::{FleetJobId, FleetNode, FleetRouter, HashRing};
+use coverage_service::fleet::{FleetDelta, FleetJobId, FleetNode, FleetRouter, HashRing};
 use coverage_service::{AuditKind, JobSpec, JobStatus, ServiceConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use cvg_bench::report::{bench_fleet_path, json_object, update_json_report};
@@ -32,6 +35,10 @@ const RING_REPLICAS: usize = 32;
 const ROUND_LATENCY: Duration = Duration::from_micros(300);
 /// Fleet sizes measured; the last one is the headline M=4 arm.
 const FLEETS: [usize; 3] = [1, 2, 4];
+/// Anti-entropy cadence of every node.
+const ANTI_ENTROPY: Duration = Duration::from_millis(500);
+/// The most one link may carry per audit, in whole-store ships.
+const LINK_BYTES_BOUND: f64 = 1.25;
 /// The ring every arm shards the pool with — the M=4 fleet's own ring,
 /// so in that arm every job lands on the node that owns its entire pool.
 const SHARDS: usize = 4;
@@ -69,10 +76,59 @@ fn shard_specs(data: &Dataset) -> Vec<JobSpec> {
         .collect()
 }
 
+/// One measured arm's figures.
+struct Arm {
+    /// Wall-clock around submit→drain only, node startup and teardown
+    /// excluded.
+    wall_ms: u64,
+    crowd_tasks: u64,
+    /// `/fleet/delta` body bytes of the busiest link once the fleet has
+    /// converged (0 for one node).
+    link_bytes: u64,
+    /// One whole-store ship of the converged fact base.
+    store_bytes: u64,
+}
+
+/// Waits until every node holds the same facts and two more rounds have
+/// carried any relay still in flight, then returns the busiest link's
+/// `audit_fleet_delta_bytes_total` and the size of one whole-store ship.
+fn settled_link_bytes(nodes: &[FleetNode<SharedTruthSource<Dataset>>]) -> (u64, u64) {
+    let started = Instant::now();
+    let store = loop {
+        let stores: Vec<_> = nodes.iter().map(|n| n.daemon().export_store()).collect();
+        if stores.windows(2).all(|pair| {
+            pair[0].delta_since(&pair[1]).is_empty() && pair[1].delta_since(&pair[0]).is_empty()
+        }) {
+            break stores.into_iter().next().expect("a fleet has a node");
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "the fleet never converged"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    std::thread::sleep(ANTI_ENTROPY * 2);
+    let link_bytes = nodes
+        .iter()
+        .flat_map(|node| {
+            let page = node.daemon().telemetry().render_prometheus();
+            page.lines()
+                .filter(|line| line.starts_with("audit_fleet_delta_bytes_total{"))
+                .filter_map(|line| line.rsplit(' ').next()?.parse::<u64>().ok())
+                .collect::<Vec<_>>()
+        })
+        .max()
+        .unwrap_or(0);
+    let whole = serde_json::to_string(&FleetDelta {
+        from: nodes[0].name().to_string(),
+        store,
+    })
+    .expect("a store serializes");
+    (link_bytes, whole.len() as u64)
+}
+
 /// One measured arm: the four shard jobs routed over an `m`-node fleet.
-/// Returns `(wall_ms, crowd_tasks)` — wall-clock around submit→drain
-/// only, node startup and teardown excluded.
-fn run_fleet(data: &Arc<Dataset>, m: usize) -> (u64, u64) {
+fn run_fleet(data: &Arc<Dataset>, m: usize) -> Arm {
     let nodes: Vec<FleetNode<SharedTruthSource<Dataset>>> = (0..m)
         .map(|i| {
             FleetNode::start(
@@ -82,7 +138,7 @@ fn run_fleet(data: &Arc<Dataset>, m: usize) -> (u64, u64) {
                     workers: 1,
                     store_shards: 8,
                     round_latency: ROUND_LATENCY,
-                    anti_entropy_ms: 500,
+                    anti_entropy_ms: ANTI_ENTROPY.as_millis() as u64,
                     ..ServiceConfig::default()
                 },
                 SharedTruthSource::new(Arc::clone(data)),
@@ -117,12 +173,22 @@ fn run_fleet(data: &Arc<Dataset>, m: usize) -> (u64, u64) {
         assert_eq!(report.status, JobStatus::Done, "{}", report.to_json());
     }
     let wall_ms = started.elapsed().as_millis() as u64;
+    let (link_bytes, store_bytes) = if m > 1 {
+        settled_link_bytes(&nodes)
+    } else {
+        (0, 0)
+    };
 
-    let spend = nodes
+    let crowd_tasks = nodes
         .into_iter()
         .map(|node| node.shutdown().expect("first shutdown").0.crowd_tasks)
         .sum();
-    (wall_ms, spend)
+    Arm {
+        wall_ms,
+        crowd_tasks,
+        link_bytes,
+        store_bytes,
+    }
 }
 
 /// Not a timing benchmark in the Criterion sense: one instrumented run
@@ -134,15 +200,26 @@ fn emit_fleet_report(_c: &mut Criterion) {
     let mut rows = Vec::new();
     let mut walls = Vec::new();
     let mut spends = Vec::new();
+    let mut links = Vec::new();
     for m in FLEETS {
-        let (wall_ms, crowd_tasks) = run_fleet(&data, m);
+        let arm = run_fleet(&data, m);
         rows.push(json_object(vec![
             ("m", Value::UInt(m as u64)),
-            ("wall_ms", Value::UInt(wall_ms)),
-            ("crowd_tasks", Value::UInt(crowd_tasks)),
+            ("wall_ms", Value::UInt(arm.wall_ms)),
+            ("crowd_tasks", Value::UInt(arm.crowd_tasks)),
+            ("max_link_delta_bytes", Value::UInt(arm.link_bytes)),
+            ("whole_store_bytes", Value::UInt(arm.store_bytes)),
         ]));
-        walls.push(wall_ms);
-        spends.push(crowd_tasks);
+        assert!(
+            arm.link_bytes as f64 <= LINK_BYTES_BOUND * arm.store_bytes as f64,
+            "an {m}-node fleet shipped {} bytes over one link, above \
+             {LINK_BYTES_BOUND}x one whole-store ship ({} bytes)",
+            arm.link_bytes,
+            arm.store_bytes
+        );
+        walls.push(arm.wall_ms);
+        spends.push(arm.crowd_tasks);
+        links.push((arm.link_bytes, arm.store_bytes));
     }
     // Disjoint shards share no object, so the only reuse the partition
     // can lose is on pool-independent questions — and the census audit
@@ -174,7 +251,8 @@ fn emit_fleet_report(_c: &mut Criterion) {
     update_json_report(bench_fleet_path(), "fleet_bench", section).expect("write BENCH_fleet.json");
     println!(
         "fleet: census giant audit wall {walls:?} ms at M={FLEETS:?}, \
-         spend {spends:?}, recorded in {}",
+         spend {spends:?}, (busiest link, whole-store ship) bytes {links:?}, \
+         recorded in {}",
         bench_fleet_path().display(),
     );
 }

@@ -222,6 +222,17 @@ impl KnowledgeStore {
         self.labels.insert(object, labels);
     }
 
+    /// Records that `object` is (or is not) a `target` member; `true`
+    /// when the fact is new.
+    fn record_membership(&mut self, object: ObjectId, target: &Target, member: bool) -> bool {
+        let sets = if member {
+            &mut self.members
+        } else {
+            &mut self.non_members
+        };
+        sets.entry(target.clone()).or_default().insert(object)
+    }
+
     /// Objects with a known full label vector.
     pub fn labels_known(&self) -> usize {
         self.labels.len()
@@ -288,12 +299,12 @@ impl KnowledgeStore {
         }
     }
 
-    /// The facts `self` holds that `baseline` does not — what one
-    /// anti-entropy round actually ships, so a steady-state fleet
-    /// exchanges deltas, not whole stores. `merge(baseline, delta)`
-    /// equals `merge(baseline, self)` by construction. The result
-    /// carries default [`ReuseStats`] (a delta is knowledge in transit,
-    /// not an accounting record).
+    /// The facts `self` holds that `baseline` does not: how tests and
+    /// benches check that two fleet members converged (the exchange
+    /// itself ships ranges of its commit log, never diffs whole stores).
+    /// `merge(baseline, delta)` equals `merge(baseline, self)` by
+    /// construction. The result carries default [`ReuseStats`] (a delta
+    /// is knowledge in transit, not an accounting record).
     pub fn delta_since(&self, baseline: &KnowledgeStore) -> KnowledgeStore {
         let mut delta = KnowledgeStore::new();
         for (object, labels) in &self.labels {
@@ -1167,20 +1178,36 @@ impl<S> SharedKnowledgeSource<S> {
     /// tally and any attached [`FactSink`] (they are already durable
     /// wherever they came from). The seed's own `stats` field is ignored.
     pub fn seed_store(&self, store: &KnowledgeStore) {
+        self.seed(store, None);
+    }
+
+    /// Seeds like [`seed_store`](Self::seed_store) and returns the facts
+    /// that were new to this store (spilled labels count as held). A
+    /// fleet node relays only these onward, so a fact that has already
+    /// gone round the fleet stops.
+    pub fn seed_store_fresh(&self, store: &KnowledgeStore) -> KnowledgeStore {
+        let mut fresh = KnowledgeStore::new();
+        self.seed(store, Some(&mut fresh));
+        fresh
+    }
+
+    fn seed(&self, store: &KnowledgeStore, mut fresh: Option<&mut KnowledgeStore>) {
         for (object, labels) in &store.labels {
             let mut state = self.shared.fact_shard(*object).lock();
-            state.facts.labels.insert(*object, *labels);
+            let held = state.facts.labels.insert(*object, *labels).is_some()
+                || (fresh.is_some() && self.shared.recall_spilled(&mut state, *object).is_some());
+            if let (false, Some(fresh)) = (held, fresh.as_deref_mut()) {
+                fresh.labels.insert(*object, *labels);
+            }
         }
-        for (map, pick) in [(&store.members, true), (&store.non_members, false)] {
+        for (map, member) in [(&store.members, true), (&store.non_members, false)] {
             for (target, objects) in map {
                 for object in objects {
                     let mut state = self.shared.fact_shard(*object).lock();
-                    let sets = if pick {
-                        &mut state.facts.members
-                    } else {
-                        &mut state.facts.non_members
-                    };
-                    sets.entry(target.clone()).or_default().insert(*object);
+                    let new = state.facts.record_membership(*object, target, member);
+                    if let (true, Some(fresh)) = (new, fresh.as_deref_mut()) {
+                        fresh.record_membership(*object, target, member);
+                    }
                 }
             }
         }
@@ -1188,11 +1215,19 @@ impl<S> SharedKnowledgeSource<S> {
             for (objects, answer) in verdicts {
                 let stripe = self.shared.set_stripe(objects, target);
                 let mut state = stripe.lock();
-                state
+                let held = state
                     .verdicts
                     .entry(target.clone())
                     .or_default()
-                    .insert(objects.clone(), *answer);
+                    .insert(objects.clone(), *answer)
+                    .is_some();
+                if let (false, Some(fresh)) = (held, fresh.as_deref_mut()) {
+                    fresh
+                        .set_verdicts
+                        .entry(target.clone())
+                        .or_default()
+                        .insert(objects.clone(), *answer);
+                }
             }
         }
         // A seed can land an over-watermark label population in one go.
@@ -2061,6 +2096,35 @@ mod tests {
         let stats = root.reuse_stats();
         assert_eq!(stats.forwarded, 0, "everything answered from the seed");
         assert!(sink.replayed.lock().unwrap().is_empty());
+    }
+
+    /// A fresh seed reports exactly the facts the store did not hold, of
+    /// every kind; seeding the same facts again reports none.
+    #[test]
+    fn fresh_seeding_reports_only_new_facts() {
+        let female = Target::group(Pattern::parse("1").unwrap());
+        let root = SharedKnowledgeSource::with_shards((), 4);
+        let mut first = KnowledgeStore::new();
+        first.record_labels(ObjectId(1), Labels::single(1));
+        first.record_set_answer(
+            &[ObjectId(2), ObjectId(3)],
+            &[ObjectId(2), ObjectId(3)],
+            &female,
+            false,
+        );
+        assert_eq!(root.seed_store_fresh(&first), first);
+        assert!(
+            root.seed_store_fresh(&first).is_empty(),
+            "nothing new twice"
+        );
+
+        let mut second = first.clone();
+        second.record_labels(ObjectId(4), Labels::single(0));
+        second.record_set_answer(&[ObjectId(5)], &[ObjectId(5)], &female, true);
+        let fresh = root.seed_store_fresh(&second);
+        assert_eq!(fresh.delta_since(&first), fresh, "only the new facts");
+        assert_eq!(fresh.fact_count(), 3, "a label, a member, a verdict");
+        assert!(root.store_snapshot().delta_since(&second).is_empty());
     }
 
     /// An in-memory spill with call counters, for watermark tests.

@@ -73,6 +73,7 @@
 //! ```
 
 use crate::dispatch::{dispatch_channel, run_dispatcher, DispatchHandle, DispatcherConfig};
+use crate::fleet::Exchange;
 use crate::governor::{GlobalBudget, JobBudget};
 use crate::job::{JobId, JobReport, JobSpec, JobStatus};
 use crate::persist::{Persistence, SpillFile};
@@ -82,6 +83,7 @@ use crate::telemetry::{tenant_of, Telemetry};
 use coverage_core::engine::{BatchAnswerSource, CancelToken};
 use coverage_core::ledger::TaskLedger;
 use coverage_core::memo::{FactSink, FactSpill, KnowledgeStore, ReuseStats, SharedKnowledgeSource};
+use coverage_core::prelude::{Labels, ObjectId, Target};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -281,9 +283,14 @@ struct WorkerContext {
 
 #[derive(Debug)]
 struct JobSlot {
-    /// Immutable after submission; `Arc` so a worker's pop clones a
-    /// refcount, not a pool vector, under the daemon-wide lock.
-    spec: Arc<JobSpec>,
+    /// Held until a worker pops the job and takes it, so a finished job's
+    /// pool vector is freed instead of staying resident for the daemon's
+    /// lifetime.
+    spec: Option<Arc<JobSpec>>,
+    /// The spec's label and algorithm, kept for `GET /jobs` and
+    /// `GET /jobs/{id}` after the spec is gone.
+    name: String,
+    algorithm: &'static str,
     status: JobStatus,
     report: Option<JobReport>,
     cancel: CancelToken,
@@ -352,6 +359,42 @@ pub struct AuditDaemon<S> {
     /// readiness body lists peers in a stable order. Empty for a solo
     /// daemon.
     peer_states: Mutex<std::collections::BTreeMap<String, bool>>,
+    /// The fleet exchange: ship log (armed when a
+    /// [`FleetNode`](crate::fleet::FleetNode) joins) and the watermarks
+    /// `POST /fleet/delta` acknowledges.
+    exchange: Arc<Exchange>,
+}
+
+/// The daemon's one [`FactSink`]: every committed fact goes to the WAL
+/// (when persistence is on) and to the fleet exchange's ship log (once
+/// joined).
+#[derive(Debug)]
+struct CommitTee {
+    wal: Option<Arc<Persistence>>,
+    exchange: Arc<Exchange>,
+}
+
+impl FactSink for CommitTee {
+    fn on_labels(&self, object: ObjectId, labels: Labels) {
+        if let Some(wal) = &self.wal {
+            wal.on_labels(object, labels);
+        }
+        self.exchange.on_labels(object, labels);
+    }
+
+    fn on_set_verdict(
+        &self,
+        objects: &[ObjectId],
+        residual: &[ObjectId],
+        target: &Target,
+        answer: bool,
+    ) {
+        if let Some(wal) = &self.wal {
+            wal.on_set_verdict(objects, residual, target, answer);
+        }
+        self.exchange
+            .on_set_verdict(objects, residual, target, answer);
+    }
 }
 
 impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
@@ -395,8 +438,8 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
 
         // The durable knowledge plane: recover facts from the data dir,
         // seed them into the store (bypassing reuse stats and the sink),
-        // then attach the WAL sink — and optionally the disk spill —
-        // before the first worker can commit a fact.
+        // then attach the sink — WAL and fleet exchange — and optionally
+        // the disk spill before the first worker can commit a fact.
         let persist = config.data_dir.as_ref().map(|dir| {
             let (persistence, recovered) =
                 Persistence::open(dir, config.snapshot_every, telemetry.clone())
@@ -412,10 +455,13 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
             if !recovered.is_empty() {
                 memo_root.seed_store(&recovered);
             }
-            let persistence = Arc::new(persistence);
-            memo_root.set_fact_sink(Arc::clone(&persistence) as Arc<dyn FactSink>);
-            persistence
+            Arc::new(persistence)
         });
+        let exchange = Arc::new(Exchange::default());
+        memo_root.set_fact_sink(Arc::new(CommitTee {
+            wal: persist.clone(),
+            exchange: Arc::clone(&exchange),
+        }));
 
         let dispatcher = std::thread::spawn(move || {
             let mut source = source;
@@ -453,6 +499,7 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
             rate_gate,
             breakers,
             peer_states: Mutex::new(std::collections::BTreeMap::new()),
+            exchange,
         }
     }
 
@@ -461,6 +508,11 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// from here.
     pub(crate) fn config(&self) -> &ServiceConfig {
         &self.config
+    }
+
+    /// The daemon's side of the fleet exchange (see [`crate::fleet`]).
+    pub(crate) fn exchange(&self) -> &Exchange {
+        &self.exchange
     }
 
     /// The daemon's telemetry plane: the live metrics registry and trace
@@ -518,18 +570,16 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
             }
             let id = JobId(state.jobs.len() as u64);
             state.queue.push_tenant(id.0 as usize, priority, &tenant);
-            let spec = Arc::new(spec);
+            let algorithm = spec.kind.name();
             self.telemetry.job_submitted();
             self.telemetry.job_queued_delta(1);
             self.telemetry.trace(Some(id.0), "submit", || {
-                format!(
-                    "{} ({}) queued at priority {priority}",
-                    spec.name,
-                    spec.kind.name()
-                )
+                format!("{} ({algorithm}) queued at priority {priority}", spec.name)
             });
             state.jobs.push(JobSlot {
-                spec,
+                name: spec.name.clone(),
+                algorithm,
+                spec: Some(Arc::new(spec)),
                 status: JobStatus::Queued,
                 report: None,
                 cancel: CancelToken::new(),
@@ -566,8 +616,8 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
             .enumerate()
             .map(|(index, job)| JobSummary {
                 id: JobId(index as u64),
-                name: job.spec.name.clone(),
-                algorithm: job.spec.kind.name().to_string(),
+                name: job.name.clone(),
+                algorithm: job.algorithm.to_string(),
                 status: job.status,
             })
             .collect()
@@ -584,8 +634,8 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
         Some((
             JobSummary {
                 id,
-                name: job.spec.name.clone(),
-                algorithm: job.spec.kind.name().to_string(),
+                name: job.name.clone(),
+                algorithm: job.algorithm.to_string(),
                 status: job.status,
             },
             job.report.clone(),
@@ -727,14 +777,17 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// Absorbs one anti-entropy delta from fleet peer `from`: seeds the
     /// facts into the shared store (bypassing [`ReuseStats`] and the WAL
     /// sink, exactly like recovery — a peer's facts are re-derivable
-    /// from *its* WAL, so this node doesn't pay to persist them) and
-    /// tallies `audit_fleet_deltas_total{peer}`. Backs
-    /// `POST /fleet/delta`.
+    /// from *its* WAL, so this node doesn't pay to persist them), logs
+    /// the ones it did not hold for relay to its other peers once it has
+    /// joined, and
+    /// tallies `audit_fleet_deltas_total{peer}`. Backs every
+    /// `POST /fleet/delta` the watermark rule accepts.
     pub fn absorb_fleet_delta(&self, from: &str, delta: &KnowledgeStore) {
         if !delta.is_empty() {
-            self.memo_root.seed_store(delta);
+            let fresh = self.memo_root.seed_store_fresh(delta);
             self.telemetry
                 .record_recovered_facts(delta.fact_count() as u64);
+            self.exchange.relay(from, fresh);
         }
         self.telemetry.record_fleet_delta(from);
     }
@@ -855,13 +908,9 @@ fn worker_loop(context: WorkerContext) {
                         state.jobs[index].status = JobStatus::Running;
                     }
                     state.running += 1;
-                    let job = &state.jobs[index];
-                    break (
-                        index,
-                        Arc::clone(&job.spec),
-                        job.cancel.clone(),
-                        job.submitted_at,
-                    );
+                    let job = &mut state.jobs[index];
+                    let spec = job.spec.take().expect("the queue pops each job once");
+                    break (index, spec, job.cancel.clone(), job.submitted_at);
                 }
                 if !state.accepting {
                     return;
@@ -1145,6 +1194,30 @@ mod tests {
         );
         daemon.drain();
         daemon.shutdown();
+    }
+
+    /// A popped job's spec leaves the job table: a finished slot keeps
+    /// only what `GET /jobs` serves, so pool vectors are not resident for
+    /// the daemon's lifetime.
+    #[test]
+    fn a_finished_slot_holds_no_spec() {
+        let truth = truth(200, 30);
+        let daemon = AuditDaemon::start(
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+            SharedTruthSource::new(Arc::clone(&truth)),
+        );
+        let id = daemon.submit(group_job("t/a", truth.all_ids())).unwrap();
+        daemon.drain();
+        assert!(daemon.shared.lock().jobs[id.0 as usize].spec.is_none());
+        let summary = &daemon.jobs()[0];
+        assert_eq!(
+            (summary.name.as_str(), summary.algorithm.as_str()),
+            ("t/a", "group_coverage")
+        );
+        daemon.shutdown().unwrap();
     }
 
     #[test]

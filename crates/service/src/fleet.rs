@@ -10,14 +10,10 @@
 //!   giant pool into per-node shards. [`ServiceConfig::ring_replicas`]
 //!   virtual points per node smooth the shard sizes.
 //! * [`FleetNode`] — one daemon + its HTTP front door + an **anti-entropy
-//!   loop**: every [`ServiceConfig::anti_entropy_ms`] the node diffs its
-//!   fact base against what it last shipped each peer
-//!   ([`KnowledgeStore::delta_since`]) and `POST`s the fresh facts to the
-//!   peer's `/fleet/delta`. Facts a peer already paid the crowd for are
-//!   never bought twice; periodically the loop re-ships everything
-//!   (a full-sync round), so a peer that restarted — and therefore lost
-//!   the *seeded* facts its own WAL never held — reconverges without any
-//!   coordination.
+//!   loop**: every [`ServiceConfig::anti_entropy_ms`] the node `POST`s
+//!   each peer's `/fleet/delta` the facts that peer has not acknowledged
+//!   yet (see the dataflow below). Facts a peer already paid the crowd
+//!   for are never bought twice.
 //! * [`FleetRouter`] — a thin client-side front door: places each
 //!   [`JobSpec`] on the node owning most of its pool (ties broken by
 //!   tenant load, then total load), proxies status/report/watch to the
@@ -25,60 +21,118 @@
 //!   the next-best node instead of blocking (counted as
 //!   `audit_fleet_forwarded_total`).
 //!
+//! # Anti-entropy by acked watermarks
+//!
+//! ```text
+//!  worker commit ──▶ FactSink tee ──┬──▶ WAL (when data_dir is set)
+//!                                   └──▶ ship log  seq 1, 2, 3, …  (origin: this node)
+//!  POST /fleet/delta ──▶ absorb ───────▶ ship log                  (origin: the sender)
+//!
+//!  every anti_entropy_ms, for each peer:
+//!    POST /fleet/delta?incarnation=I&after=ack&upto=end
+//!         body: the log range (ack, end] minus the entries the peer itself sent
+//!    ◀── {"ack": w, "node": name}    w: the peer's contiguous watermark for (sender, I)
+//!    ack := w, then drop every log entry all peers have acked
+//! ```
+//!
+//! A joined node keeps a commit-ordered **ship log**: its store at
+//! [`FleetNode::join`], then every fresh fact its [`FactSink`] sees (the
+//! daemon tees the sink beside the WAL), then the facts each absorbed
+//! delta added, tagged with their origin so they are relayed to the
+//! other peers but never echoed back (a fact the node already held is
+//! not relayed again, so relays die out). Each entry has a sequence
+//! number, and each round ships a
+//! peer only the range after that peer's ack, so a round costs
+//! O(delta), and the log holds only what some peer has not acknowledged.
+//!
+//! The receiver keeps, per sender name, the sender's *incarnation* (fresh
+//! at every join) and a watermark: the highest sequence number up to which
+//! it has absorbed a contiguous prefix. A range that starts at or below
+//! the watermark is absorbed and advances it; a gap is refused with the
+//! old watermark; an unknown incarnation counts as watermark 0. So a peer
+//! that restarted, and with it lost the seeded facts its own WAL never
+//! held, answers 0 and is repaired at the next round: from the log, or
+//! by one whole-store ship if every peer had acked that prefix and it was
+//! dropped. A sender that restarted joins under a new incarnation and
+//! ships its log from 0.
+//!
 //! Degraded mode is availability-first throughout: a down peer means the
 //! survivors answer residual questions from the crowd (duplicate spend,
-//! bounded by the full-sync cadence — never a stall), `/readyz` shows the
-//! hole as [`PeerSummary`](crate::PeerSummary) rows without flipping
-//! `ready`, and a restarted node recovers its shard from its own
-//! WAL/snapshot ([`ServiceConfig::data_dir`]) before rejoining the
-//! exchange. The fleet-equivalence test plane
-//! (`tests/tests/fleet_equivalence.rs`) pins the contract: any fleet
-//! topology is verdict-identical to a single node, and fleet crowd spend
-//! never exceeds the same nodes run in isolation.
+//! bounded by one round — never a stall), `/readyz` shows the hole as
+//! [`PeerSummary`](crate::PeerSummary) rows without flipping `ready`,
+//! the log keeps what the down peer has not acked, and a restarted node
+//! recovers its shard from its own WAL/snapshot
+//! ([`ServiceConfig::data_dir`]) before rejoining the exchange. The
+//! fleet-equivalence test plane (`tests/tests/fleet_equivalence.rs`)
+//! pins the contract: any fleet topology is verdict-identical to a single
+//! node, and fleet crowd spend never exceeds the same nodes run in
+//! isolation.
 
 use crate::daemon::AuditDaemon;
 use crate::http::{http_request, HttpClient, HttpServer};
 use crate::job::{JobId, JobReport, JobSpec};
+use crate::persist::WalRecord;
 use crate::service::{lock, ServiceConfig, ServiceReport};
 use crate::telemetry::{tenant_of, Telemetry};
 use coverage_core::engine::{BatchAnswerSource, ObjectId};
-use coverage_core::memo::KnowledgeStore;
+use coverage_core::memo::{FactSink, KnowledgeStore};
+use coverage_core::prelude::{Labels, Target};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// Anti-entropy rounds between **full-sync** rounds, where the loop
-/// forgets what it shipped and re-sends its whole fact base. Deltas alone
-/// converge only while every peer keeps what it was sent; a peer that
-/// crashed and recovered from its own WAL has silently lost the *seeded*
-/// facts (they bypass its WAL by design), and the periodic full ship
-/// repairs exactly that hole. Between crashes full syncs are cheap: a
-/// re-imported fact is a no-op on the receiver.
-const FULL_SYNC_EVERY: u64 = 8;
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// How long the router sleeps between `/stats` polls while draining.
 const DRAIN_POLL: Duration = Duration::from_millis(5);
 
+/// SipHash-1-3 with zero keys over `value`'s little-endian bytes: what
+/// `DefaultHasher::new()` computed for a `u64` when the ring was first
+/// placed. Written out because std does not promise `DefaultHasher`'s
+/// algorithm across releases, and every node and router must derive the
+/// same ring without exchanging it.
 fn hash_one(value: u64) -> u64 {
-    // `DefaultHasher::new()` uses fixed keys, so ring placement is stable
-    // across processes and runs — nodes and router agree on ownership
-    // without exchanging the ring.
-    let mut hasher = DefaultHasher::new();
-    value.hash(&mut hasher);
-    hasher.finish()
+    // The SipHash initialization constants; XOR with zero keys is a no-op.
+    let mut v: [u64; 4] = [
+        0x736f_6d65_7073_6575,
+        0x646f_7261_6e64_6f6d,
+        0x6c79_6765_6e65_7261,
+        0x7465_6462_7974_6573,
+    ];
+    // One 8-byte message block, then the final block: the length (8) in
+    // the top byte and no tail bytes.
+    for block in [value, 8 << 56] {
+        v[3] ^= block;
+        sip_round(&mut v);
+        v[0] ^= block;
+    }
+    v[2] ^= 0xff;
+    for _ in 0..3 {
+        sip_round(&mut v);
+    }
+    v[0] ^ v[1] ^ v[2] ^ v[3]
+}
+
+fn sip_round(v: &mut [u64; 4]) {
+    v[0] = v[0].wrapping_add(v[1]);
+    v[1] = v[1].rotate_left(13) ^ v[0];
+    v[0] = v[0].rotate_left(32);
+    v[2] = v[2].wrapping_add(v[3]);
+    v[3] = v[3].rotate_left(16) ^ v[2];
+    v[0] = v[0].wrapping_add(v[3]);
+    v[3] = v[3].rotate_left(21) ^ v[0];
+    v[2] = v[2].wrapping_add(v[1]);
+    v[1] = v[1].rotate_left(17) ^ v[2];
+    v[2] = v[2].rotate_left(32);
 }
 
 /// A consistent-hash ring over [`ObjectId`]s: `replicas` virtual points
 /// per node, ownership by successor point. Placement is deterministic
-/// (fixed-key hashing), so every fleet participant computes the same ring
+/// (pinned hashing), so every fleet participant computes the same ring
 /// from `(nodes, replicas)` alone.
 #[derive(Debug, Clone)]
 pub struct HashRing {
@@ -124,16 +178,268 @@ impl HashRing {
 }
 
 /// The `POST /fleet/delta` wire body: one anti-entropy shipment — the
-/// facts `from` holds that it believes the receiver doesn't.
+/// facts `from` holds that the receiver has not acknowledged. Its
+/// sequence numbers ride the query string (see the [module docs](self)).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetDelta {
     /// The sending node's name — the `peer` label of
-    /// `audit_fleet_deltas_total` on the receiver.
+    /// `audit_fleet_deltas_total` on the receiver, and the key of the
+    /// receiver's watermark for it.
     pub from: String,
     /// The shipped facts. Seeded into the receiver's store exactly like
     /// recovered ones: no reuse-stats movement, no WAL frames (the facts
     /// are re-derivable from the *sender's* WAL).
     pub store: KnowledgeStore,
+}
+
+/// The sequence numbers of one `/fleet/delta` shipment, carried in its
+/// query string: the sender's `incarnation` and the log range
+/// `(after, upto]` the body covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Sequence {
+    incarnation: u64,
+    after: u64,
+    upto: u64,
+}
+
+impl Sequence {
+    /// Parses `incarnation=I&after=A&upto=U` (any order). An empty query
+    /// is an unsequenced shipment (`None`): absorbed, never acknowledged.
+    pub(crate) fn from_query(query: &str) -> Result<Option<Self>, String> {
+        if query.is_empty() {
+            return Ok(None);
+        }
+        let (mut incarnation, mut after, mut upto) = (None, None, None);
+        for pair in query.split('&') {
+            let (key, raw) = pair
+                .split_once('=')
+                .ok_or_else(|| format!("malformed query pair `{pair}`"))?;
+            let value: u64 = raw
+                .parse()
+                .map_err(|_| format!("malformed `{key}` value `{raw}`"))?;
+            match key {
+                "incarnation" => incarnation = Some(value),
+                "after" => after = Some(value),
+                "upto" => upto = Some(value),
+                _ => return Err(format!("unknown query key `{key}`")),
+            }
+        }
+        match (incarnation, after, upto) {
+            (Some(incarnation), Some(after), Some(upto)) if after <= upto => Ok(Some(Self {
+                incarnation,
+                after,
+                upto,
+            })),
+            _ => Err(format!(
+                "a sequenced delta needs incarnation, after and upto with after <= upto: `{query}`"
+            )),
+        }
+    }
+}
+
+/// The receiver's side of the exchange: per sender name, the sender's
+/// incarnation and the contiguous watermark — every entry of that
+/// incarnation's log up to it has been absorbed.
+#[derive(Debug, Default)]
+struct Watermarks(HashMap<String, (u64, u64)>);
+
+impl Watermarks {
+    /// Offers one shipment from `from`: `(absorb, ack)`. A range starting
+    /// at or below the watermark is absorbed and advances it to `upto` (a
+    /// re-send leaves it where it is); a gap is refused with the old
+    /// watermark; an unknown incarnation counts as watermark 0.
+    fn offer(&mut self, from: &str, seq: Sequence) -> (bool, u64) {
+        let held = match self.0.get(from) {
+            Some(&(incarnation, mark)) if incarnation == seq.incarnation => mark,
+            _ => 0,
+        };
+        if seq.after > held {
+            return (false, held);
+        }
+        let mark = held.max(seq.upto);
+        self.0.insert(from.to_string(), (seq.incarnation, mark));
+        (true, mark)
+    }
+}
+
+/// One entry of a ship log.
+#[derive(Debug)]
+enum Shipment {
+    /// A fact this node bought: one crowd answer its [`FactSink`] saw.
+    Fact(WalRecord),
+    /// A batch of facts: the store at join, or a delta absorbed from a
+    /// peer.
+    Store(KnowledgeStore),
+}
+
+impl Shipment {
+    fn facts(&self) -> u64 {
+        match self {
+            Shipment::Fact(_) => 1,
+            Shipment::Store(store) => store.fact_count() as u64,
+        }
+    }
+}
+
+/// The commit-ordered log of what a joined node must ship. Entry `i` of
+/// `entries` has sequence number `base + 1 + i`; everything up to `base`
+/// every peer has acknowledged, and is dropped.
+#[derive(Debug, Default)]
+struct ShipLog {
+    base: u64,
+    /// Each entry with its origin: `None` for this node's own facts, the
+    /// sender's name for an absorbed delta.
+    entries: VecDeque<(Option<Arc<str>>, Shipment)>,
+}
+
+impl ShipLog {
+    /// The sequence number of the newest entry.
+    fn end(&self) -> u64 {
+        self.base + self.entries.len() as u64
+    }
+
+    /// The entries after `after` that did not come from `peer`.
+    fn after<'a>(
+        &'a self,
+        after: u64,
+        peer: Option<&'a str>,
+    ) -> impl Iterator<Item = &'a Shipment> + 'a {
+        let skip = usize::try_from(after.saturating_sub(self.base)).unwrap_or(usize::MAX);
+        self.entries
+            .iter()
+            .skip(skip)
+            .filter(move |(origin, _)| origin.is_none() || origin.as_deref() != peer)
+            .map(|(_, shipment)| shipment)
+    }
+
+    /// The facts to ship a peer that acked `after` — `None` when part of
+    /// that range is already dropped, so only a whole-store ship can
+    /// repair the peer.
+    fn range(&self, after: u64, peer: Option<&str>) -> Option<KnowledgeStore> {
+        if after < self.base {
+            return None;
+        }
+        let mut store = KnowledgeStore::new();
+        for shipment in self.after(after, peer) {
+            match shipment {
+                Shipment::Fact(record) => record.apply(&mut store),
+                Shipment::Store(facts) => store.merge(facts),
+            }
+        }
+        Some(store)
+    }
+
+    /// Facts a peer that acked `after` still lacks — the
+    /// `audit_fleet_unacked_facts{peer}` gauge.
+    fn unacked(&self, after: u64, peer: Option<&str>) -> u64 {
+        self.after(after, peer).map(Shipment::facts).sum()
+    }
+
+    /// Drops every entry up to `seq`.
+    fn drop_through(&mut self, seq: u64) {
+        while self.base < seq && self.entries.pop_front().is_some() {
+            self.base += 1;
+        }
+    }
+}
+
+/// A joined node's identity in the exchange and its ship log.
+#[derive(Debug)]
+struct Joined {
+    name: String,
+    incarnation: u64,
+    log: Mutex<ShipLog>,
+}
+
+impl Joined {
+    fn push(&self, origin: Option<&str>, shipment: Shipment) {
+        lock(&self.log)
+            .entries
+            .push_back((origin.map(Arc::from), shipment));
+    }
+}
+
+/// A daemon's side of the fleet exchange: the outbound ship log, armed by
+/// [`FleetNode::join`], and the inbound watermarks. Every daemon carries
+/// one, so an unjoined daemon still acknowledges `/fleet/delta`
+/// shipments. Its [`FactSink`] half sits beside the WAL sink and logs
+/// nothing until the node joins.
+#[derive(Debug, Default)]
+pub(crate) struct Exchange {
+    joined: OnceLock<Joined>,
+    watermarks: Mutex<Watermarks>,
+}
+
+impl Exchange {
+    /// This node's fleet name once joined — the `node` of its receipts.
+    pub(crate) fn name(&self) -> Option<&str> {
+        self.joined.get().map(|joined| joined.name.as_str())
+    }
+
+    /// Offers a sequenced shipment from `from` to the watermark rule:
+    /// `(absorb, ack)`.
+    pub(crate) fn offer(&self, from: &str, seq: Sequence) -> (bool, u64) {
+        lock(&self.watermarks).offer(from, seq)
+    }
+
+    /// Logs the facts an absorbed delta from `origin` added, so they are
+    /// relayed to the other peers (a no-op until joined). Only new facts
+    /// go on: a fact that already went round the fleet stops here.
+    pub(crate) fn relay(&self, origin: &str, fresh: KnowledgeStore) {
+        if let (Some(joined), false) = (self.joined.get(), fresh.is_empty()) {
+            joined.push(Some(origin), Shipment::Store(fresh));
+        }
+    }
+
+    /// Arms the ship log under `name` with a fresh incarnation.
+    ///
+    /// # Panics
+    /// Panics when the exchange is already armed.
+    fn arm(&self, name: &str) -> &Joined {
+        static JOINS: AtomicU64 = AtomicU64::new(0);
+        let nanos = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |since| since.as_nanos() as u64);
+        let joined = Joined {
+            name: name.to_string(),
+            // Differs from every earlier life of this name: an earlier
+            // process joined at another instant, an earlier join in this
+            // process at another count.
+            incarnation: hash_one(nanos ^ JOINS.fetch_add(1, Ordering::Relaxed)),
+            log: Mutex::new(ShipLog::default()),
+        };
+        assert!(
+            self.joined.set(joined).is_ok(),
+            "fleet node `{name}` already joined"
+        );
+        self.joined.get().expect("armed above")
+    }
+}
+
+impl FactSink for Exchange {
+    fn on_labels(&self, object: ObjectId, labels: Labels) {
+        if let Some(joined) = self.joined.get() {
+            joined.push(None, Shipment::Fact(WalRecord::Labels { object, labels }));
+        }
+    }
+
+    fn on_set_verdict(
+        &self,
+        objects: &[ObjectId],
+        residual: &[ObjectId],
+        target: &Target,
+        answer: bool,
+    ) {
+        if let Some(joined) = self.joined.get() {
+            let record = WalRecord::SetVerdict {
+                objects: objects.to_vec(),
+                residual: residual.to_vec(),
+                target: target.clone(),
+                answer,
+            };
+            joined.push(None, Shipment::Fact(record));
+        }
+    }
 }
 
 /// One fleet member: an [`AuditDaemon`], its [`HttpServer`] front door,
@@ -226,8 +532,10 @@ impl<S: BatchAnswerSource + Send + 'static> FleetNode<S> {
     }
 
     /// Starts the anti-entropy loop toward `peers` (each the HTTP front
-    /// door of another fleet node). Idempotent join is not supported —
-    /// the peer set is fixed for the node's lifetime.
+    /// door of another fleet node): arms the ship log with the store as
+    /// it stands now, then ships every peer what it has not acked once
+    /// per cadence. Idempotent join is not supported — the peer set is
+    /// fixed for the node's lifetime.
     ///
     /// # Panics
     /// Panics when the node already gossips (started with configured
@@ -235,12 +543,19 @@ impl<S: BatchAnswerSource + Send + 'static> FleetNode<S> {
     pub fn join(&self, peers: Vec<SocketAddr>) {
         let mut slot = lock(&self.gossip);
         assert!(slot.is_none(), "fleet node `{}` already joined", self.name);
+        let joined = self.daemon.exchange().arm(&self.name);
+        // Armed before the export: a fact committed in between is both
+        // logged and exported (a harmless duplicate, merges are
+        // idempotent), never neither.
+        let at_join = self.daemon.export_store();
+        if !at_join.is_empty() {
+            joined.push(None, Shipment::Store(at_join));
+        }
         let daemon = Arc::clone(&self.daemon);
-        let name = self.name.clone();
         let cadence = self.cadence;
         let stop = Arc::clone(&self.stop);
         *slot = Some(std::thread::spawn(move || {
-            anti_entropy_loop(&daemon, &name, &peers, cadence, &stop);
+            anti_entropy_loop(&daemon, &peers, cadence, &stop);
         }));
     }
 
@@ -275,49 +590,133 @@ impl<S: BatchAnswerSource + Send + 'static> FleetNode<S> {
     }
 }
 
-/// The per-peer anti-entropy exchange. For each peer the loop remembers
-/// the last store it successfully shipped; each round ships only
-/// [`KnowledgeStore::delta_since`] that baseline (empty delta ⇒ a cheap
-/// `/healthz` probe keeps the peer state fresh). Every
-/// [`FULL_SYNC_EVERY`] rounds the baseline resets, re-shipping everything
-/// — the repair path for peers that restarted and lost seeded facts.
+/// The slice of a `/fleet/delta` receipt the sender needs.
+#[derive(Deserialize)]
+struct Receipt {
+    ack: u64,
+    node: Option<String>,
+}
+
+/// The sender's view of one peer.
+#[derive(Debug)]
+struct Link {
+    addr: SocketAddr,
+    /// `addr` as text: the `peer` label of `/readyz` and the sender-side
+    /// metrics.
+    label: String,
+    /// The peer's watermark for this node's incarnation, as last
+    /// acknowledged.
+    ack: u64,
+    /// Set by the first receipt. Until then a round only probes, so the
+    /// peer's own facts are never echoed before its name is known.
+    greeted: bool,
+    /// The peer's fleet name, from its last receipt — entries of this
+    /// origin are never shipped back to it.
+    name: Option<String>,
+}
+
+impl Link {
+    fn new(addr: SocketAddr) -> Self {
+        Self {
+            addr,
+            label: addr.to_string(),
+            ack: 0,
+            greeted: false,
+            name: None,
+        }
+    }
+
+    /// What to ship this round: `(after, upto, facts)`. An empty probe
+    /// until greeted; then the log after `ack`, or — when that prefix was
+    /// dropped — the whole store, read after `upto` so it holds every
+    /// fact logged up to it.
+    fn plan(
+        &self,
+        log: &Mutex<ShipLog>,
+        export: impl FnOnce() -> KnowledgeStore,
+    ) -> (u64, u64, KnowledgeStore) {
+        if !self.greeted {
+            return (self.ack, self.ack, KnowledgeStore::new());
+        }
+        let (upto, range) = {
+            let log = lock(log);
+            (log.end(), log.range(self.ack, self.name.as_deref()))
+        };
+        match range {
+            Some(facts) => (self.ack, upto, facts),
+            None => (0, upto, export()),
+        }
+    }
+
+    /// Adopts a receipt: the peer's watermark (never past what was sent)
+    /// and its name.
+    fn acknowledge(&mut self, receipt: Receipt, upto: u64) {
+        self.ack = receipt.ack.min(upto);
+        self.name = receipt.node;
+        self.greeted = true;
+    }
+
+    /// One round toward this peer.
+    fn exchange<S: BatchAnswerSource + Send + 'static>(
+        &mut self,
+        daemon: &AuditDaemon<S>,
+        joined: &Joined,
+    ) -> io::Result<()> {
+        let (after, upto, store) = self.plan(&joined.log, || daemon.export_store());
+        let body = serde_json::to_string(&FleetDelta {
+            from: joined.name.clone(),
+            store,
+        })
+        .expect("a knowledge store always serializes");
+        let path = format!(
+            "/fleet/delta?incarnation={}&after={after}&upto={upto}",
+            joined.incarnation
+        );
+        let (code, reply) = http_request(self.addr, "POST", &path, Some(&body))?;
+        daemon
+            .telemetry()
+            .record_fleet_delta_bytes(&self.label, body.len() as u64);
+        if code != 200 {
+            return Err(io::Error::other(format!("peer answered {code}: {reply}")));
+        }
+        let receipt = serde_json::from_str::<Receipt>(&reply).map_err(io::Error::other)?;
+        self.acknowledge(receipt, upto);
+        Ok(())
+    }
+}
+
+/// The per-peer anti-entropy exchange: each round ships every peer the
+/// log range after its ack (an empty range still goes out, so a
+/// restarted peer's watermark of 0 is heard at once), records the peer's
+/// state for `/readyz` and its unacked-facts gauge, then drops the log
+/// prefix every peer has acked.
 fn anti_entropy_loop<S: BatchAnswerSource + Send + 'static>(
     daemon: &Arc<AuditDaemon<S>>,
-    name: &str,
     peers: &[SocketAddr],
     cadence: Duration,
     stop: &AtomicBool,
 ) {
-    let mut shipped: Vec<KnowledgeStore> = vec![KnowledgeStore::new(); peers.len()];
-    let mut round: u64 = 0;
+    let joined = daemon
+        .exchange()
+        .joined
+        .get()
+        .expect("join arms the exchange before the loop starts");
+    let mut links: Vec<Link> = peers.iter().copied().map(Link::new).collect();
     while !stop.load(Ordering::Acquire) {
         std::thread::sleep(cadence);
         if stop.load(Ordering::Acquire) {
             break;
         }
-        round += 1;
-        let snapshot = daemon.export_store();
-        for (index, peer) in peers.iter().enumerate() {
-            if round.is_multiple_of(FULL_SYNC_EVERY) {
-                shipped[index] = KnowledgeStore::new();
-            }
-            let delta = snapshot.delta_since(&shipped[index]);
-            let outcome = if delta.is_empty() {
-                http_request(*peer, "GET", "/healthz", None).map(|(code, _)| code == 200)
-            } else {
-                let body = serde_json::to_string(&FleetDelta {
-                    from: name.to_string(),
-                    store: delta,
-                })
-                .expect("a knowledge store always serializes");
-                http_request(*peer, "POST", "/fleet/delta", Some(&body)).map(|(code, _)| {
-                    if code == 200 {
-                        shipped[index] = snapshot.clone();
-                    }
-                    code == 200
-                })
-            };
-            daemon.set_peer_state(&peer.to_string(), outcome.unwrap_or(false));
+        for link in &mut links {
+            let up = link.exchange(daemon, joined).is_ok();
+            daemon.set_peer_state(&link.label, up);
+            let unacked = lock(&joined.log).unacked(link.ack, link.name.as_deref());
+            daemon
+                .telemetry()
+                .set_fleet_unacked_facts(&link.label, unacked);
+        }
+        if let Some(acked) = links.iter().map(|link| link.ack).min() {
+            lock(&joined.log).drop_through(acked);
         }
     }
 }
@@ -542,6 +941,51 @@ mod tests {
         }
     }
 
+    /// Placement is part of the fleet's wire contract: nodes and routers
+    /// built by different toolchains must agree on every owner, and the
+    /// census shard pools follow from it. These vectors were taken from
+    /// the `DefaultHasher::new()` ring this hash replaced.
+    #[test]
+    fn ring_placement_matches_the_pinned_golden_vectors() {
+        for (value, hash) in [
+            (0, 0xbd60_acb6_58c7_9e45),
+            (1, 0x1e9f_7341_61d6_2dd9),
+            (42, 0x7b3e_724b_36eb_df51),
+            ((1 << 32) | 7, 0x885b_6f1b_e42d_b48b),
+            (u64::MAX, 0x2f20_5be2_fec8_e38d),
+        ] {
+            assert_eq!(hash_one(value), hash, "hash of {value:#x}");
+        }
+        let probes = [0u32, 1, 2, 3, 7, 42, 1000, 2761, 65535, u32::MAX];
+        for (nodes, owners, counts, first64) in [
+            (
+                2,
+                vec![0, 0, 0, 0, 0, 1, 0, 1, 1, 0],
+                vec![5020, 4980],
+                "0000000000000000000000000000000011011110011011001111011011010101",
+            ),
+            (
+                4,
+                vec![0, 0, 0, 0, 0, 2, 0, 3, 1, 2],
+                vec![2422, 2756, 2572, 2250],
+                "0000000000000000000000000000000012011133212012331211211213313201",
+            ),
+        ] {
+            let ring = HashRing::new(nodes, 32);
+            let got: Vec<usize> = probes.iter().map(|o| ring.owner_of(ObjectId(*o))).collect();
+            assert_eq!(got, owners, "owners at ({nodes}, 32)");
+            let mut tally = vec![0usize; nodes];
+            for raw in 0..10_000u32 {
+                tally[ring.owner_of(ObjectId(raw))] += 1;
+            }
+            assert_eq!(tally, counts, "shard sizes at ({nodes}, 32)");
+            let prefix: String = (0..64u32)
+                .map(|raw| char::from(b'0' + ring.owner_of(ObjectId(raw)) as u8))
+                .collect();
+            assert_eq!(prefix, first64, "owners of 0..64 at ({nodes}, 32)");
+        }
+    }
+
     #[test]
     fn ring_spreads_objects_roughly_evenly() {
         let ring = HashRing::new(4, 64);
@@ -583,5 +1027,173 @@ mod tests {
         for raw in [0u32, 1, 17, 9999, u32::MAX] {
             assert_eq!(ring.owner_of(ObjectId(raw)), 0);
         }
+    }
+
+    fn seq(incarnation: u64, after: u64, upto: u64) -> Sequence {
+        Sequence {
+            incarnation,
+            after,
+            upto,
+        }
+    }
+
+    #[test]
+    fn sequence_rides_the_query_string() {
+        assert_eq!(Sequence::from_query(""), Ok(None));
+        assert_eq!(
+            Sequence::from_query("upto=9&incarnation=7&after=3"),
+            Ok(Some(seq(7, 3, 9)))
+        );
+        for bad in [
+            "incarnation=7",
+            "incarnation=7&after=9&upto=3",
+            "incarnation=x&after=0&upto=0",
+            "incarnation=1&after=0&upto=0&extra=1",
+            "after",
+        ] {
+            assert!(Sequence::from_query(bad).is_err(), "{bad}");
+        }
+    }
+
+    /// The receiver's rule: a contiguous range advances the watermark, a
+    /// gap is refused with the old one, an unknown incarnation counts as
+    /// 0, and a re-send is absorbed without moving it.
+    #[test]
+    fn watermark_advances_only_over_contiguous_ranges() {
+        let mut marks = Watermarks::default();
+        assert_eq!(marks.offer("a", seq(1, 0, 0)), (true, 0), "a probe");
+        assert_eq!(marks.offer("a", seq(1, 0, 5)), (true, 5), "contiguous");
+        assert_eq!(marks.offer("a", seq(1, 3, 8)), (true, 8), "overlapping");
+        assert_eq!(marks.offer("a", seq(1, 10, 12)), (false, 8), "a gap");
+        assert_eq!(marks.offer("a", seq(1, 0, 5)), (true, 8), "a re-send");
+        assert_eq!(marks.offer("a", seq(1, 8, 8)), (true, 8), "an idle round");
+        // Senders are keyed apart.
+        assert_eq!(marks.offer("b", seq(1, 4, 6)), (false, 0));
+        // A restarted sender: its new incarnation starts from 0, whatever
+        // the old one had reached.
+        assert_eq!(
+            marks.offer("a", seq(2, 8, 9)),
+            (false, 0),
+            "unknown incarnation"
+        );
+        assert_eq!(marks.offer("a", seq(2, 0, 3)), (true, 3));
+        assert_eq!(
+            marks.offer("a", seq(1, 8, 9)),
+            (false, 0),
+            "the old life is gone"
+        );
+    }
+
+    fn labels(objects: std::ops::Range<u32>) -> KnowledgeStore {
+        let mut store = KnowledgeStore::new();
+        for raw in objects {
+            store.record_labels(ObjectId(raw), Labels::single(1));
+        }
+        store
+    }
+
+    fn fact(raw: u32) -> Shipment {
+        Shipment::Fact(WalRecord::Labels {
+            object: ObjectId(raw),
+            labels: Labels::single(0),
+        })
+    }
+
+    #[test]
+    fn ship_log_ranges_skip_the_peers_own_facts_and_dropped_prefixes() {
+        let mut log = ShipLog::default();
+        log.entries.push_back((None, Shipment::Store(labels(0..3))));
+        log.entries
+            .push_back((Some(Arc::from("b")), Shipment::Store(labels(10..14))));
+        log.entries.push_back((None, fact(20)));
+        assert_eq!(log.end(), 3);
+        assert_eq!(log.range(0, Some("b")).unwrap().fact_count(), 4, "no echo");
+        assert_eq!(log.range(0, Some("c")).unwrap().fact_count(), 8, "a relay");
+        assert_eq!(log.range(2, Some("c")).unwrap().fact_count(), 1);
+        assert!(log.range(3, None).unwrap().is_empty());
+        assert_eq!(log.unacked(1, Some("b")), 1);
+        assert_eq!(log.unacked(1, Some("c")), 5);
+        log.drop_through(2);
+        assert_eq!((log.base, log.end()), (2, 3));
+        assert!(log.range(1, None).is_none(), "a dropped prefix");
+        assert_eq!(
+            log.range(2, None).unwrap().label_of(ObjectId(20)),
+            Some(Labels::single(0))
+        );
+    }
+
+    /// The sender's side: it probes until the first receipt, then ships
+    /// after the acked watermark, rewinds when a receipt reports a lower
+    /// one, and falls back to one whole-store ship once that prefix is
+    /// dropped.
+    #[test]
+    fn the_sender_rewinds_to_the_acked_watermark() {
+        let log = Mutex::new(ShipLog::default());
+        for raw in 0..4 {
+            lock(&log).entries.push_back((None, fact(raw)));
+        }
+        let whole = || labels(0..100);
+        let mut link = Link::new("127.0.0.1:9".parse().unwrap());
+        let (after, upto, facts) = link.plan(&log, whole);
+        assert_eq!((after, upto, facts.is_empty()), (0, 0, true), "a probe");
+        link.acknowledge(
+            Receipt {
+                ack: 0,
+                node: Some("b".into()),
+            },
+            upto,
+        );
+
+        let (after, upto, facts) = link.plan(&log, whole);
+        assert_eq!((after, upto, facts.fact_count()), (0, 4, 4));
+        link.acknowledge(
+            Receipt {
+                ack: 4,
+                node: Some("b".into()),
+            },
+            upto,
+        );
+        lock(&log).entries.push_back((None, fact(4)));
+        let (after, upto, facts) = link.plan(&log, whole);
+        assert_eq!(
+            (after, upto, facts.fact_count()),
+            (4, 5, 1),
+            "only the delta"
+        );
+
+        // The peer restarted: its receipt says 0, and the next round
+        // starts over from the log.
+        link.acknowledge(
+            Receipt {
+                ack: 0,
+                node: Some("b".into()),
+            },
+            upto,
+        );
+        let (after, upto, facts) = link.plan(&log, whole);
+        assert_eq!((after, upto, facts.fact_count()), (0, 5, 5));
+
+        // A receipt never acknowledges past what was sent.
+        link.acknowledge(
+            Receipt {
+                ack: 99,
+                node: Some("b".into()),
+            },
+            upto,
+        );
+        assert_eq!(link.ack, 5);
+
+        // Once every peer acked and the log dropped that prefix, a
+        // rewind to 0 is repaired by one whole-store ship.
+        lock(&log).drop_through(5);
+        link.acknowledge(
+            Receipt {
+                ack: 0,
+                node: Some("b".into()),
+            },
+            5,
+        );
+        let (after, upto, facts) = link.plan(&log, whole);
+        assert_eq!((after, upto, facts.fact_count()), (0, 5, 100));
     }
 }

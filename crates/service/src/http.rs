@@ -20,7 +20,7 @@
 //! | `GET /events?since=N` | —           | `200` `{"next","events"}` incremental trace drain   |
 //! | `GET /store/export` | —             | `200` the whole fact base as one `KnowledgeStore`   |
 //! | `POST /store/import`| `KnowledgeStore` | `200` `{"labels","membership","set_verdicts"}`; `503` shutting down |
-//! | `POST /fleet/delta`| [`FleetDelta`](crate::fleet::FleetDelta) | `200` `{"from","facts"}` anti-entropy receipt; `400` malformed; `503` shutting down |
+//! | `POST /fleet/delta?incarnation=I&after=A&upto=U` | [`FleetDelta`](crate::fleet::FleetDelta) | `200` `{"from","facts","ack","node"}` anti-entropy receipt (`ack`: the watermark for the sender); `400` malformed; `503` shutting down |
 //! | `GET /healthz`     | —              | `200` `{"status":"ok"}` — liveness, always           |
 //! | `GET /readyz`      | —              | `200`/`503` [`Readiness`](crate::Readiness) body — dispatcher alive, persistence healthy, breaker + fleet-peer states |
 //!
@@ -631,8 +631,15 @@ impl Conn {
             if idle && self.pending() > 0 {
                 return (progress, true);
             }
+        } else if self.closing {
+            // The last response is still queued (a request pipelined
+            // behind it may have set `started`): a client that stopped
+            // reading must not pin the connection slot forever.
+            if idle {
+                return (progress, true);
+            }
         } else if let Some(started) = self.started {
-            if started.elapsed() > engine.idle && !self.closing {
+            if started.elapsed() > engine.idle {
                 // The request started but never completed in time — the
                 // slow-loris path gets a clean 408, then a close.
                 daemon.telemetry().count_http_request("?", "timeout", 408);
@@ -1117,24 +1124,40 @@ fn route<S: BatchAnswerSource + Send + 'static>(
                 Err(e) => Reply::new(400, error_body(&format!("invalid knowledge store: {e}"))),
             }
         }
-        // The fleet's anti-entropy door: a peer ships the facts it holds
-        // that (it believes) this node doesn't. Same semantics as an
-        // import — seeded facts bypass reuse stats and the WAL — plus
-        // the per-peer delta tally; the receipt echoes the sender and
-        // the fact count so the gossip loop can assert delivery.
+        // The fleet's anti-entropy door: a peer ships the facts this node
+        // has not acknowledged. Same semantics as an import — seeded
+        // facts bypass reuse stats and the WAL — plus the per-peer delta
+        // tally. A sequenced shipment (`?incarnation=&after=&upto=`) is
+        // absorbed only when contiguous with this node's watermark for
+        // its sender; the receipt carries that watermark (`ack`) and this
+        // node's fleet name (`node`) back to the gossip loop.
         ("POST", "/fleet/delta") => {
             if !daemon.is_accepting() {
                 return Reply::retry(503, error_body(AuditDaemon::<S>::SHUTTING_DOWN), 1);
             }
+            let sequence = match crate::fleet::Sequence::from_query(query) {
+                Ok(sequence) => sequence,
+                Err(message) => return Reply::new(400, error_body(&message)),
+            };
             match serde_json::from_str::<crate::fleet::FleetDelta>(body) {
                 Ok(delta) => {
                     let facts = delta.store.fact_count();
-                    daemon.absorb_fleet_delta(&delta.from, &delta.store);
+                    let exchange = daemon.exchange();
+                    let (absorb, ack) = sequence
+                        .map_or((true, 0), |sequence| exchange.offer(&delta.from, sequence));
+                    if absorb {
+                        daemon.absorb_fleet_delta(&delta.from, &delta.store);
+                    } else {
+                        daemon.telemetry().record_fleet_delta(&delta.from);
+                    }
+                    let node = exchange.name().map(str::to_string);
                     Reply::new(
                         200,
                         Body::Json(Value::Object(vec![
                             ("from".to_string(), Value::Str(delta.from)),
                             ("facts".to_string(), facts.to_value()),
+                            ("ack".to_string(), ack.to_value()),
+                            ("node".to_string(), node.to_value()),
                         ])),
                     )
                 }
@@ -1875,11 +1898,11 @@ mod tests {
     }
 
     /// `POST /fleet/delta` over a live socket: facts are absorbed (and
-    /// visible on a later export), the receipt echoes sender and size,
-    /// the per-peer delta counter ticks, malformed bodies get a
-    /// structured 400, wrong methods 405 — and however many bogus fleet
-    /// paths a client probes, the metrics page carries exactly one
-    /// `/fleet/*` route label.
+    /// visible on a later export), the receipt echoes sender and size and
+    /// carries the watermark, the per-peer delta counter ticks once per
+    /// shipment, malformed bodies and queries get a structured 400, wrong
+    /// methods 405 — and however many bogus fleet paths a client probes,
+    /// the metrics page carries exactly one `/fleet/*` route label.
     #[test]
     fn fleet_delta_over_a_socket() {
         let (daemon, pool) = daemon(50, 5);
@@ -1908,6 +1931,19 @@ mod tests {
             "absorbed facts are seeded, never charged"
         );
 
+        // A sequenced shipment is acknowledged with the receiver's
+        // watermark for the sender; a gap is refused with the old one.
+        let sequenced = "/fleet/delta?incarnation=7&after=0&upto=3";
+        let (code, reply) = http_request(addr, "POST", sequenced, Some(&body)).unwrap();
+        assert_eq!(code, 200, "{reply}");
+        assert!(reply.contains("\"ack\": 3"), "{reply}");
+        let gap = "/fleet/delta?incarnation=7&after=5&upto=9";
+        let (code, reply) = http_request(addr, "POST", gap, Some(&body)).unwrap();
+        assert_eq!(code, 200, "{reply}");
+        assert!(reply.contains("\"ack\": 3"), "{reply}");
+        let (code, reply) = http_request(addr, "POST", "/fleet/delta?upto=x", Some(&body)).unwrap();
+        assert_eq!(code, 400, "{reply}");
+
         let (code, reply) = http_request(addr, "POST", "/fleet/delta", Some("{nope")).unwrap();
         assert_eq!(code, 400);
         assert!(reply.contains("invalid fleet delta"), "{reply}");
@@ -1921,7 +1957,7 @@ mod tests {
 
         let rendered = daemon.telemetry().render_prometheus();
         assert!(
-            rendered.contains("audit_fleet_deltas_total{peer=\"node1\"} 1"),
+            rendered.contains("audit_fleet_deltas_total{peer=\"node1\"} 3"),
             "{rendered}"
         );
         assert!(

@@ -190,8 +190,8 @@ pub struct ServiceConfig {
     /// knob — any count yields identical verdicts.
     pub ring_replicas: usize,
     /// Cadence of the anti-entropy loop in milliseconds: how often a
-    /// fleet node diffs its fact base against what it last shipped each
-    /// peer and POSTs the delta to `/fleet/delta`. Lower spreads facts
+    /// fleet node POSTs each peer's `/fleet/delta` the logged facts that
+    /// peer has not acknowledged yet. Lower spreads facts
     /// faster (less duplicate crowd spend across nodes); higher costs
     /// less background traffic. Never changes a verdict. Only read when
     /// [`ServiceConfig::fleet_peers`] is non-empty.

@@ -485,6 +485,8 @@ struct Inner {
     http_active_connections: Gauge,
     // Fleet plane (anti-entropy deltas, degraded-mode forwards).
     fleet_deltas: LabeledCounter,
+    fleet_delta_bytes: LabeledCounter,
+    fleet_unacked: LabeledCounter,
     fleet_forwarded: Counter,
     // Gauges.
     jobs_queued: Gauge,
@@ -571,6 +573,8 @@ impl Telemetry {
                 keepalive_reuses: Counter::default(),
                 http_active_connections: Gauge::default(),
                 fleet_deltas: LabeledCounter::new(&["peer"]),
+                fleet_delta_bytes: LabeledCounter::new(&["peer"]),
+                fleet_unacked: LabeledCounter::new(&["peer"]),
                 fleet_forwarded: Counter::default(),
                 jobs_queued: Gauge::default(),
                 jobs_running: Gauge::default(),
@@ -769,12 +773,29 @@ impl Telemetry {
 
     // ---- fleet ----------------------------------------------------------
 
-    /// One anti-entropy `KnowledgeStore` delta absorbed from `peer`
+    /// One anti-entropy `KnowledgeStore` delta received from `peer`
     /// (`audit_fleet_deltas_total{peer}`; `peer` is the sending node's
     /// name, so cardinality is bounded by fleet size).
     pub fn record_fleet_delta(&self, peer: &str) {
         if let Some(inner) = &self.inner {
             inner.fleet_deltas.add(vec![peer.to_string()], 1);
+        }
+    }
+
+    /// `bytes` of `/fleet/delta` body sent to `peer` and answered
+    /// (`audit_fleet_delta_bytes_total{peer}`; `peer` is the peer's
+    /// address).
+    pub fn record_fleet_delta_bytes(&self, peer: &str, bytes: u64) {
+        if let Some(inner) = &self.inner {
+            inner.fleet_delta_bytes.add(vec![peer.to_string()], bytes);
+        }
+    }
+
+    /// Sets how many logged facts `peer` has not acknowledged yet
+    /// (`audit_fleet_unacked_facts{peer}`) — the anti-entropy lag.
+    pub fn set_fleet_unacked_facts(&self, peer: &str, facts: u64) {
+        if let Some(inner) = &self.inner {
+            inner.fleet_unacked.set(vec![peer.to_string()], facts);
         }
     }
 
@@ -979,7 +1000,18 @@ impl Telemetry {
         );
         inner.fleet_deltas.render(
             "audit_fleet_deltas_total",
-            "Anti-entropy knowledge deltas absorbed, by sending peer.",
+            "Anti-entropy knowledge deltas received, by sending peer.",
+            &mut out,
+        );
+        inner.fleet_delta_bytes.render(
+            "audit_fleet_delta_bytes_total",
+            "Anti-entropy delta body bytes sent, by receiving peer.",
+            &mut out,
+        );
+        inner.fleet_unacked.render_as(
+            "audit_fleet_unacked_facts",
+            "Logged facts a peer has not acknowledged yet, by peer.",
+            "gauge",
             &mut out,
         );
         render_counter(

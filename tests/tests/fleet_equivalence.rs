@@ -339,7 +339,8 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 /// Restart recovery: a node killed mid-fleet recovers its shard from its
 /// own WAL — re-running its workload spends zero — and a *fresh* peer
 /// joining the exchange converges to the same facts without paying the
-/// crowd either (the full-sync rounds ship everything eventually).
+/// crowd either (its first exchange ships the store the node held at
+/// join).
 #[test]
 fn a_restarted_node_recovers_from_its_wal_and_spends_zero() {
     let truth = Arc::new(synth_truth(400, 22, 13));

@@ -187,6 +187,55 @@ fn adversarial_framing_cannot_wedge_a_single_event_loop() {
     daemon.shutdown().unwrap();
 }
 
+/// A closing connection whose client stops reading still expires: a
+/// `Connection: close` response far larger than loopback buffering, with
+/// another request pipelined behind it, never drains — and must not pin
+/// one of the engine's connection slots past the idle deadline.
+#[test]
+fn a_closing_connection_with_a_stalled_reader_expires() {
+    let truth = Arc::new(synth_truth(100, 10, 9));
+    let idle = Duration::from_millis(300);
+    let (daemon, server, addr) = start(
+        ServiceConfig {
+            workers: 1,
+            event_loop_threads: 1,
+            keep_alive_idle: idle,
+            ..ServiceConfig::default()
+        },
+        &truth,
+    );
+    // ~11 MB of pretty-printed export: well past what the kernel buffers
+    // for a reader that never reads (4 MB send + 128 KB receive with
+    // Linux defaults).
+    let mut store = coverage_core::memo::KnowledgeStore::new();
+    for raw in 0..64_000u32 {
+        store.record_labels(ObjectId(raw), Labels::single((raw % 2) as u8));
+    }
+    daemon.import_store(&store);
+    drop(store);
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(
+            b"GET /store/export HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\nGET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        .unwrap();
+    let telemetry = daemon.telemetry();
+    poll_until(|| (telemetry.http_active_connections() == 1).then_some(()));
+    let deadline = std::time::Instant::now() + idle * 10;
+    while telemetry.http_active_connections() != 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a closing connection whose reader stalled still holds its slot"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(stream);
+
+    server.shutdown();
+    daemon.shutdown().unwrap();
+}
+
 /// `keep_alive_max_requests` bounds reuse: the last allowed response is
 /// marked `Connection: close` and the socket really closes.
 #[test]

@@ -1,7 +1,7 @@
 //! The anti-entropy convergence invariant (ISSUE 10 satellite).
 //!
 //! Fleet peers exchange [`KnowledgeStore`] deltas with no coordination:
-//! rounds interleave arbitrarily, full-sync rounds re-ship everything,
+//! rounds interleave arbitrarily, a repair round re-ships a whole store,
 //! and a delta may arrive twice. Convergence therefore rests on the
 //! merge being a semilattice join **for truth-consistent stores** (all
 //! fleet facts derive from one ground truth, so two peers never hold
@@ -115,7 +115,7 @@ proptest! {
         // Associative: three-peer exchange converges along any spanning
         // order.
         prop_assert_eq!(merged(&ab, &c), merged(&a, &merged(&b, &c)));
-        // Idempotent: a full-sync round re-shipping known facts is a
+        // Idempotent: a repair round re-shipping known facts is a
         // no-op, and so is self-merge.
         prop_assert_eq!(&merged(&ab, &b), &ab);
         prop_assert_eq!(merged(&a, &a), a.clone());
@@ -149,7 +149,7 @@ proptest! {
 
 /// The daemon half: re-importing a daemon's own export is a no-op on the
 /// fact base *and* on spend — the `/store/export` → `/store/import`
-/// round-trip (and hence a redundant anti-entropy full sync) never
+/// round-trip (and hence a redundant whole-store repair ship) never
 /// double-bills a fact.
 #[test]
 fn reimporting_an_export_moves_neither_facts_nor_spend() {
