@@ -94,17 +94,30 @@ impl TablePrinter {
     }
 }
 
-/// The repository `results/` directory (honours `CVG_RESULTS_DIR`).
+/// The `results/` directory, resolved at run time: `CVG_RESULTS_DIR` if
+/// set, else `results/` under the workspace root above the current
+/// directory (see [`workspace_root`]), else under the current directory.
+/// Benches run from their package directory and examples from wherever
+/// `cargo run` was called, so both land in the root of the tree they run
+/// in, never in the tree the binary was built from.
 pub fn results_dir() -> PathBuf {
-    std::env::var_os("CVG_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .expect("workspace root")
-                .join("results")
+    if let Some(dir) = std::env::var_os("CVG_RESULTS_DIR") {
+        return PathBuf::from(dir);
+    }
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    workspace_root(&cwd).unwrap_or(cwd).join("results")
+}
+
+/// The nearest directory at or above `start` whose `Cargo.toml` has a
+/// `[workspace]` table.
+pub fn workspace_root(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| {
+            fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|manifest| manifest.lines().any(|line| line.trim() == "[workspace]"))
         })
+        .map(Path::to_path_buf)
 }
 
 #[cfg(test)]
@@ -127,6 +140,39 @@ mod tests {
     fn ragged_row_panics() {
         let mut t = TablePrinter::new("demo", &["a", "b"]);
         t.row(vec!["x".into()]);
+    }
+
+    #[test]
+    fn workspace_root_is_the_nearest_workspace_manifest() {
+        let root = std::env::temp_dir().join(format!("cvg-ws-{}", std::process::id()));
+        let member = root.join("crates").join("bench");
+        let deep = member.join("src").join("bin");
+        fs::create_dir_all(&deep).unwrap();
+        fs::write(
+            root.join("Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/bench\"]\n\n[workspace.package]\n",
+        )
+        .unwrap();
+        // A member manifest (even one naming workspace keys) is skipped.
+        fs::write(
+            member.join("Cargo.toml"),
+            "[package]\nname = \"b\"\nversion.workspace = true\n",
+        )
+        .unwrap();
+        assert_eq!(workspace_root(&deep).as_deref(), Some(root.as_path()));
+        assert_eq!(workspace_root(&member).as_deref(), Some(root.as_path()));
+        assert_eq!(workspace_root(&root).as_deref(), Some(root.as_path()));
+        // A nested standalone package with its own empty `[workspace]`
+        // table is a root of its own.
+        let nested = root.join("perf");
+        fs::create_dir_all(&nested).unwrap();
+        fs::write(
+            nested.join("Cargo.toml"),
+            "[package]\nname = \"p\"\n\n[workspace]\n",
+        )
+        .unwrap();
+        assert_eq!(workspace_root(&nested).as_deref(), Some(nested.as_path()));
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //!   the yes/no variant "does this object belong to g?";
 //! * **set query** — "does this *set* contain at least one object of g?".
 //!
+//! Point queries come one at a time or as a **batch**: the paper lays a
+//! point HIT out as `n` images, and the engine charges a batch of `k`
+//! labels `⌈k/n⌉` tasks. A batch goes to the source as one request
+//! ([`AnswerSource::try_answer_point_labels_many`]), so a serving layer
+//! below can publish it as `⌈k/n⌉` real HITs at once.
+//!
 //! The ask path is **fallible**: every question can come back as an
 //! [`AskError`] — a budget refused it, the run's [`CancelToken`] was
 //! flipped, or the source itself failed. Sources that can never fail
@@ -171,6 +177,83 @@ pub trait AnswerSource {
         let labels = self.try_answer_point_labels(object)?;
         Ok(target.matches(&labels))
     }
+
+    /// Answer point queries for every object in `objects` as **one
+    /// request**: the shape [`Engine::ask_point_labels_batched`] asks in,
+    /// so layers that can serve many labels at once (a reuse store, a
+    /// budget governor, the `coverage-service` dispatcher, which lays one
+    /// request out as ⌈k/n⌉ HITs in one round) see the whole batch.
+    ///
+    /// Delivery is per slot, not all-or-nothing: see [`LabelBatch`]. The
+    /// default asks one object at a time and stops at the first error, so
+    /// its delivered slots are always a prefix.
+    fn try_answer_point_labels_many(&mut self, objects: &[ObjectId]) -> LabelBatch {
+        let mut labels = Vec::with_capacity(objects.len());
+        for object in objects {
+            match self.try_answer_point_labels(*object) {
+                Ok(l) => labels.push(Some(l)),
+                Err(error) => {
+                    labels.resize(objects.len(), None);
+                    return LabelBatch {
+                        labels,
+                        error: Some(error),
+                    };
+                }
+            }
+        }
+        LabelBatch {
+            labels,
+            error: None,
+        }
+    }
+}
+
+/// What one point-label request delivered: a slot per asked object, in
+/// order, and the error that left any slot empty.
+///
+/// Below the engine a batch is not all-or-nothing. A budget may admit only
+/// a prefix of it, and one HIT of several may fail while the others land.
+/// Every delivered label is real crowd work, so reuse layers commit it
+/// even when `error` is set; only the engine turns the batch back into
+/// all-or-nothing for the algorithm ([`LabelBatch::into_result`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LabelBatch {
+    /// `Some` where the object's label was delivered.
+    pub labels: Vec<Option<Labels>>,
+    /// Why some slot is empty; `None` exactly when every slot is filled.
+    pub error: Option<AskError>,
+}
+
+impl LabelBatch {
+    /// A batch of `len` empty slots, refused as a whole with `error`.
+    pub fn refused(len: usize, error: AskError) -> Self {
+        Self {
+            labels: vec![None; len],
+            error: Some(error),
+        }
+    }
+
+    /// How many leading slots are filled: the answered prefix, which is
+    /// what the engine meters when the batch fails.
+    pub fn answered_prefix(&self) -> usize {
+        self.labels.iter().take_while(|l| l.is_some()).count()
+    }
+
+    /// Every label, in order, or the error if any slot is empty.
+    ///
+    /// # Panics
+    /// Panics when a slot is empty without an error, which breaks the
+    /// [`AnswerSource::try_answer_point_labels_many`] contract.
+    pub fn into_result(self) -> Result<Vec<Labels>, AskError> {
+        if let Some(error) = self.error {
+            return Err(error);
+        }
+        Ok(self
+            .labels
+            .into_iter()
+            .map(|l| l.expect("an empty slot carries an error"))
+            .collect())
+    }
 }
 
 /// An answer source that can never refuse a question.
@@ -212,28 +295,29 @@ impl<S: InfallibleSource> AnswerSource for S {
     }
 }
 
-/// Extension of [`AnswerSource`] for sources that can serve many questions
-/// in one round trip.
+/// Extension of [`AnswerSource`] for platforms that serve many questions
+/// in one HIT.
 ///
-/// The batch path exists for serving layers (see the `coverage-service`
-/// crate): when several audits run concurrently, their point queries can be
-/// coalesced into many-images-per-HIT batches — the paper's actual HIT
-/// layout — instead of hitting the platform once per object. The default
-/// methods fall back to one-at-a-time answering, so any source is trivially
-/// a batch source; platforms with real per-HIT overhead (e.g. `MTurkSim` in
-/// the `crowd-sim` crate) override them. A batch is all-or-nothing: on
-/// `Err` no answer of the batch is delivered.
+/// This is the platform side of the batch path. The `coverage-service`
+/// dispatcher owns one `BatchAnswerSource` and lays each round's point
+/// labels out as `n`-image HITs, the paper's HIT layout, so each call of
+/// [`try_answer_point_labels_batch`](Self::try_answer_point_labels_batch)
+/// is one HIT. The *request* side, how a batch travels from the engine
+/// down to the dispatcher, is [`AnswerSource::try_answer_point_labels_many`].
+///
+/// The defaults derive from the per-question methods, so any source is
+/// trivially a batch source; platforms with real per-HIT overhead (e.g.
+/// `MTurkSim` in the `crowd-sim` crate) override them. A HIT is
+/// all-or-nothing: on `Err` no answer of the batch is delivered.
 pub trait BatchAnswerSource: AnswerSource {
     /// Labels every object in `objects`, treating the whole slice as one
-    /// coalesced request. Answers must line up index-for-index.
+    /// HIT. Answers must line up index-for-index. The default is
+    /// [`AnswerSource::try_answer_point_labels_many`], all-or-nothing.
     fn try_answer_point_labels_batch(
         &mut self,
         objects: &[ObjectId],
     ) -> Result<Vec<Labels>, AskError> {
-        objects
-            .iter()
-            .map(|o| self.try_answer_point_labels(*o))
-            .collect()
+        self.try_answer_point_labels_many(objects).into_result()
     }
 
     /// Answers a batch of independent set queries, one answer per query.
@@ -537,34 +621,25 @@ impl<S: AnswerSource> Engine<S> {
     /// Labels a batch of objects, charged as `ceil(len / point_batch)` tasks
     /// — the paper's many-images-per-HIT layout.
     ///
+    /// The whole batch goes to the source as one request
+    /// ([`AnswerSource::try_answer_point_labels_many`]), so a serving layer
+    /// below can publish it as `ceil(len / n)` HITs at once rather than one
+    /// HIT per object.
+    ///
     /// Delivery is all-or-nothing: on `Err` no labels are returned. The
-    /// labels the source *did* answer before refusing are still metered in
-    /// the ledger — they are real crowd work (a governor has charged them,
-    /// and behind a cache they stay reusable), so the ledger must not
-    /// understate them.
+    /// answered prefix is still metered in the ledger — those labels are
+    /// real crowd work (a governor has charged them, and behind a cache
+    /// they stay reusable), so the ledger must not understate them.
     pub fn ask_point_labels_batched(
         &mut self,
         objects: &[ObjectId],
     ) -> Result<Vec<Labels>, AskError> {
         self.checkpoint()?;
-        let mut labels: Vec<Labels> = Vec::with_capacity(objects.len());
-        for o in objects {
-            match self.source.try_answer_point_labels(*o) {
-                Ok(l) => labels.push(l),
-                Err(error) => {
-                    self.ledger.record_point_work(
-                        labels.len() as u64,
-                        batched_tasks(labels.len(), self.point_batch),
-                    );
-                    return Err(error);
-                }
-            }
-        }
-        self.ledger.record_point_work(
-            objects.len() as u64,
-            batched_tasks(objects.len(), self.point_batch),
-        );
-        Ok(labels)
+        let batch = self.source.try_answer_point_labels_many(objects);
+        let answered = batch.answered_prefix();
+        self.ledger
+            .record_point_work(answered as u64, batched_tasks(answered, self.point_batch));
+        batch.into_result()
     }
 
     /// The configured point-query batch size.
@@ -658,6 +733,44 @@ mod tests {
         assert_eq!(labels.len(), 120);
         assert_eq!(engine.ledger().point_tasks(), 3); // ceil(120/50)
         assert_eq!(engine.ledger().point_labels(), 120);
+    }
+
+    /// A source that logs the size of every point request it receives.
+    struct RequestLog<'a, G: GroundTruth> {
+        inner: PerfectSource<'a, G>,
+        requests: Vec<usize>,
+    }
+
+    impl<G: GroundTruth> AnswerSource for RequestLog<'_, G> {
+        fn try_answer_set(
+            &mut self,
+            objects: &[ObjectId],
+            target: &Target,
+        ) -> Result<bool, AskError> {
+            self.inner.try_answer_set(objects, target)
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            self.inner.try_answer_point_labels(object)
+        }
+
+        fn try_answer_point_labels_many(&mut self, objects: &[ObjectId]) -> LabelBatch {
+            self.requests.push(objects.len());
+            self.inner.try_answer_point_labels_many(objects)
+        }
+    }
+
+    #[test]
+    fn batched_labels_travel_as_one_request() {
+        let truth = truth_with_minority(120, 7);
+        let source = RequestLog {
+            inner: PerfectSource::new(&truth),
+            requests: Vec::new(),
+        };
+        let mut engine = Engine::with_point_batch(source, 50);
+        let labels = engine.ask_point_labels_batched(&truth.all_ids()).unwrap();
+        assert_eq!(labels, truth.labels());
+        assert_eq!(engine.source().requests, vec![120]);
     }
 
     #[test]

@@ -97,7 +97,8 @@ pub mod prelude {
     };
     pub use crate::engine::{
         AnswerSource, BatchAnswerSource, CancelToken, Engine, ForkableSource, GroundTruth,
-        InfallibleSource, ObjectId, ObjectIds, PerfectSource, SharedTruthSource, VecGroundTruth,
+        InfallibleSource, LabelBatch, ObjectId, ObjectIds, PerfectSource, SharedTruthSource,
+        VecGroundTruth,
     };
     pub use crate::error::{AskError, BudgetSnapshot, CoverageError, Interrupted};
     pub use crate::group_coverage::{group_coverage, DncConfig, GroupCoverageOutcome, Traversal};

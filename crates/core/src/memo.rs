@@ -45,7 +45,7 @@
 //! [`ReuseStats`] counts how questions were disposed of — answered from
 //! facts, narrowed, or forwarded untouched.
 
-use crate::engine::{AnswerSource, BatchAnswerSource, ForkableSource, ObjectId};
+use crate::engine::{AnswerSource, BatchAnswerSource, ForkableSource, LabelBatch, ObjectId};
 use crate::error::AskError;
 use crate::schema::Labels;
 use crate::target::Target;
@@ -532,14 +532,9 @@ impl<S: AnswerSource> AnswerSource for KnowledgeSource<S> {
     }
 
     fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
-        if let Some(labels) = self.store.label_of(object) {
-            self.store.stats.hits += 1;
-            return Ok(labels);
-        }
-        let labels = self.inner.try_answer_point_labels(object)?;
-        self.store.stats.forwarded += 1;
-        self.store.record_labels(object, labels);
-        Ok(labels)
+        self.try_answer_point_labels_many(&[object])
+            .into_result()
+            .map(|labels| labels[0])
     }
 
     fn try_answer_membership(
@@ -553,41 +548,43 @@ impl<S: AnswerSource> AnswerSource for KnowledgeSource<S> {
         let labels = self.try_answer_point_labels(object)?;
         Ok(target.matches(&labels))
     }
-}
 
-impl<S: BatchAnswerSource> BatchAnswerSource for KnowledgeSource<S> {
-    fn try_answer_point_labels_batch(
-        &mut self,
-        objects: &[ObjectId],
-    ) -> Result<Vec<Labels>, AskError> {
-        let mut answers: Vec<Option<Labels>> = vec![None; objects.len()];
-        let mut unknown: Vec<(usize, ObjectId)> = Vec::new();
-        for (i, o) in objects.iter().enumerate() {
-            if let Some(l) = self.store.label_of(*o) {
+    /// Serves known labels from the store and forwards the unknown ones
+    /// (each once, duplicates filled from the first copy) as one request.
+    /// Every label the inner source delivered is recorded, even when the
+    /// rest of the request failed.
+    fn try_answer_point_labels_many(&mut self, objects: &[ObjectId]) -> LabelBatch {
+        let mut labels: Vec<Option<Labels>> =
+            objects.iter().map(|o| self.store.label_of(*o)).collect();
+        let mut unknown: Vec<ObjectId> = Vec::new();
+        for (o, l) in objects.iter().zip(&labels) {
+            if l.is_some() {
                 self.store.stats.hits += 1;
-                answers[i] = Some(l);
-            } else if unknown.iter().any(|(_, u)| u == o) {
-                // A duplicate inside one batch: filled from the first copy.
-            } else {
-                unknown.push((i, *o));
+            } else if !unknown.contains(o) {
+                unknown.push(*o);
             }
         }
+        let mut error = None;
         if !unknown.is_empty() {
-            let ids: Vec<ObjectId> = unknown.iter().map(|(_, o)| *o).collect();
-            let fresh = self.inner.try_answer_point_labels_batch(&ids)?;
-            self.store.stats.forwarded += ids.len() as u64;
-            for ((i, o), l) in unknown.into_iter().zip(fresh) {
-                self.store.record_labels(o, l);
-                answers[i] = Some(l);
+            let fresh = self.inner.try_answer_point_labels_many(&unknown);
+            for (o, l) in unknown.iter().zip(fresh.labels) {
+                if let Some(l) = l {
+                    self.store.stats.forwarded += 1;
+                    self.store.record_labels(*o, l);
+                }
             }
+            for (slot, o) in labels.iter_mut().zip(objects) {
+                if slot.is_none() {
+                    *slot = self.store.label_of(*o);
+                }
+            }
+            error = fresh.error;
         }
-        Ok(answers
-            .into_iter()
-            .zip(objects)
-            .map(|(l, o)| l.unwrap_or_else(|| self.store.label_of(*o).expect("duplicate filled")))
-            .collect())
+        LabelBatch { labels, error }
     }
 }
+
+impl<S: AnswerSource> BatchAnswerSource for KnowledgeSource<S> {}
 
 /// A caching wrapper around an answer source — the **exact-match baseline**.
 ///
@@ -1014,12 +1011,6 @@ struct LabelFlightGuard<'a> {
     keys: Vec<ObjectId>,
 }
 
-impl LabelFlightGuard<'_> {
-    fn disarm(&mut self) {
-        self.keys.clear();
-    }
-}
-
 impl Drop for LabelFlightGuard<'_> {
     fn drop(&mut self) {
         for key in self.keys.drain(..) {
@@ -1376,53 +1367,9 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
     }
 
     fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
-        let shared = Arc::clone(&self.shared);
-        let shard = shared.fact_shard(object);
-        let mut state = shard.lock();
-        loop {
-            if let Some(l) = state.facts.label_of(object) {
-                state.touch(object);
-                drop(state);
-                self.record_hit();
-                return Ok(l);
-            }
-            if let Some(l) = shared.recall_spilled(&mut state, object) {
-                drop(state);
-                self.record_hit();
-                return Ok(l);
-            }
-            if !state.label_in_flight.contains(&object) {
-                state.label_in_flight.insert(object);
-                break;
-            }
-            state = shard
-                .ready
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(state);
-        let mut guard = LabelFlightGuard {
-            shared: &shared,
-            keys: vec![object],
-        };
-        let result = self.inner.try_answer_point_labels(object);
-        let mut state = shard.lock();
-        state.label_in_flight.remove(&object);
-        if let Ok(l) = &result {
-            state.facts.record_labels(object, *l);
-            state.touch(object);
-            shared.enforce_watermark(&mut state);
-        }
-        drop(state);
-        guard.disarm();
-        shard.ready.notify_all();
-        if let Ok(l) = &result {
-            self.record_forwarded(1, 0);
-            if let Some(sink) = shared.sink.get() {
-                sink.on_labels(object, *l);
-            }
-        }
-        result
+        self.try_answer_point_labels_many(&[object])
+            .into_result()
+            .map(|labels| labels[0])
     }
 
     fn try_answer_membership(
@@ -1434,82 +1381,113 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
         let labels = self.try_answer_point_labels(object)?;
         Ok(target.matches(&labels))
     }
-}
 
-impl<S: BatchAnswerSource> BatchAnswerSource for SharedKnowledgeSource<S> {
-    /// Serves known labels locally, forwards the unclaimed unknowns to the
-    /// inner batch path in one coalesced request, and waits out objects
-    /// another handle already has in flight. On `Err` every claimed object
-    /// is released (and waiters woken) without recording anything.
+    /// Serves known labels from the store, claims the unknown objects no
+    /// other handle has in flight and forwards them to the inner source as
+    /// **one** request. Every label it delivered is committed, even when
+    /// the rest of the request failed or was refused; the unanswered
+    /// claims are released and their waiters woken.
+    ///
+    /// Only then, with no claim held, does the handle wait out the objects
+    /// other handles had in flight (and duplicates of its own claims). It
+    /// resolves them against what those flights committed and claims any
+    /// whose flight failed as one more request. So an object is forwarded
+    /// once per failed flight at most, never twice concurrently, and two
+    /// handles waiting on each other's claims cannot deadlock.
     ///
     /// Classification walks the batch in input order, taking each object's
     /// shard lock as it goes, so the forwarded id order — and therefore the
-    /// inner source's view of the batch — is identical to the single-mutex
-    /// design whatever the shard count.
-    fn try_answer_point_labels_batch(
-        &mut self,
-        objects: &[ObjectId],
-    ) -> Result<Vec<Labels>, AskError> {
+    /// inner source's view of the batch — is the same whatever the shard
+    /// count.
+    fn try_answer_point_labels_many(&mut self, objects: &[ObjectId]) -> LabelBatch {
         let shared = Arc::clone(&self.shared);
-        let mut answers: Vec<Option<Labels>> = vec![None; objects.len()];
-        let mut claimed: Vec<(usize, ObjectId)> = Vec::new();
-        let mut deferred: Vec<(usize, ObjectId)> = Vec::new();
-        let mut hits = 0u64;
-        for (i, o) in objects.iter().enumerate() {
-            let mut state = shared.fact_shard(*o).lock();
-            if let Some(l) = state.facts.label_of(*o) {
-                state.touch(*o);
-                hits += 1;
-                answers[i] = Some(l);
-            } else if let Some(l) = shared.recall_spilled(&mut state, *o) {
-                hits += 1;
-                answers[i] = Some(l);
-            } else if state.label_in_flight.contains(o) || claimed.iter().any(|(_, c)| c == o) {
-                deferred.push((i, *o));
-            } else {
-                state.label_in_flight.insert(*o);
-                claimed.push((i, *o));
-            }
-        }
-        self.record_hits(hits);
-        if !claimed.is_empty() {
-            let mut guard = LabelFlightGuard {
-                shared: &shared,
-                keys: claimed.iter().map(|(_, o)| *o).collect(),
-            };
-            let fresh_ids: Vec<ObjectId> = claimed.iter().map(|(_, o)| *o).collect();
-            // On Err the guard's Drop releases every claimed key and wakes
-            // the waiters, who then re-claim those objects themselves.
-            let fresh = self.inner.try_answer_point_labels_batch(&fresh_ids)?;
-            let mut committed: Vec<(ObjectId, Labels)> = Vec::with_capacity(fresh.len());
-            for ((i, o), l) in claimed.into_iter().zip(fresh) {
-                let shard = shared.fact_shard(o);
-                let mut state = shard.lock();
-                state.label_in_flight.remove(&o);
-                state.facts.record_labels(o, l);
-                state.touch(o);
-                shared.enforce_watermark(&mut state);
-                drop(state);
-                shard.ready.notify_all();
-                answers[i] = Some(l);
-                committed.push((o, l));
-            }
-            guard.disarm();
-            self.record_forwarded(fresh_ids.len() as u64, 0);
-            if let Some(sink) = shared.sink.get() {
-                for (o, l) in committed {
-                    sink.on_labels(o, l);
+        let mut labels: Vec<Option<Labels>> = vec![None; objects.len()];
+        let mut pending: Vec<usize> = (0..objects.len()).collect();
+        while !pending.is_empty() {
+            let mut claimed: Vec<usize> = Vec::new();
+            let mut deferred: Vec<usize> = Vec::new();
+            let mut hits = 0u64;
+            for i in pending {
+                let o = objects[i];
+                let mut state = shared.fact_shard(o).lock();
+                if let Some(l) = state.facts.label_of(o) {
+                    state.touch(o);
+                    hits += 1;
+                    labels[i] = Some(l);
+                } else if let Some(l) = shared.recall_spilled(&mut state, o) {
+                    hits += 1;
+                    labels[i] = Some(l);
+                } else if state.label_in_flight.contains(&o) {
+                    deferred.push(i);
+                } else {
+                    state.label_in_flight.insert(o);
+                    claimed.push(i);
                 }
             }
+            self.record_hits(hits);
+            if !claimed.is_empty() {
+                // Releases every claim the request leaves unanswered (all
+                // of them on a panic) and wakes the waiters, who then claim
+                // those objects themselves.
+                let mut guard = LabelFlightGuard {
+                    shared: &shared,
+                    keys: claimed.iter().map(|&i| objects[i]).collect(),
+                };
+                let fresh = self.inner.try_answer_point_labels_many(&guard.keys);
+                let mut committed: Vec<(ObjectId, Labels)> = Vec::with_capacity(claimed.len());
+                let mut unanswered: Vec<ObjectId> = Vec::new();
+                for (&i, l) in claimed.iter().zip(fresh.labels) {
+                    let o = objects[i];
+                    let Some(l) = l else {
+                        unanswered.push(o);
+                        continue;
+                    };
+                    let shard = shared.fact_shard(o);
+                    let mut state = shard.lock();
+                    state.label_in_flight.remove(&o);
+                    state.facts.record_labels(o, l);
+                    state.touch(o);
+                    shared.enforce_watermark(&mut state);
+                    drop(state);
+                    shard.ready.notify_all();
+                    labels[i] = Some(l);
+                    committed.push((o, l));
+                }
+                guard.keys = unanswered;
+                drop(guard);
+                self.record_forwarded(committed.len() as u64, 0);
+                if let Some(sink) = shared.sink.get() {
+                    for (o, l) in committed {
+                        sink.on_labels(o, l);
+                    }
+                }
+                if let Some(error) = fresh.error {
+                    return LabelBatch {
+                        labels,
+                        error: Some(error),
+                    };
+                }
+            }
+            for &i in &deferred {
+                let shard = shared.fact_shard(objects[i]);
+                let mut state = shard.lock();
+                while state.label_in_flight.contains(&objects[i]) {
+                    state = shard
+                        .ready
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            }
+            pending = deferred;
         }
-        // Objects someone else had in flight: the single path waits for the
-        // committed answer (or re-claims it if that flight failed).
-        for (i, o) in deferred {
-            answers[i] = Some(self.try_answer_point_labels(o)?);
+        LabelBatch {
+            labels,
+            error: None,
         }
-        Ok(answers.into_iter().map(|l| l.expect("filled")).collect())
     }
 }
+
+impl<S: AnswerSource> BatchAnswerSource for SharedKnowledgeSource<S> {}
 
 #[cfg(test)]
 mod tests {
@@ -1822,6 +1800,87 @@ mod tests {
         assert_eq!(stats.questions(), 4 * (10 + 40));
     }
 
+    /// A raw source that counts how often each object's label reaches it
+    /// and holds every point request open for a moment, so that batches
+    /// asked at once overlap while in flight.
+    #[derive(Debug, Clone)]
+    struct CountingSource<'a> {
+        inner: PerfectSource<'a, VecGroundTruth>,
+        asked: Arc<Mutex<HashMap<ObjectId, usize>>>,
+    }
+
+    impl AnswerSource for CountingSource<'_> {
+        fn try_answer_set(
+            &mut self,
+            objects: &[ObjectId],
+            target: &Target,
+        ) -> Result<bool, AskError> {
+            self.inner.try_answer_set(objects, target)
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            self.try_answer_point_labels_many(&[object])
+                .into_result()
+                .map(|labels| labels[0])
+        }
+
+        fn try_answer_point_labels_many(&mut self, objects: &[ObjectId]) -> LabelBatch {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            let mut asked = self.asked.lock().unwrap();
+            for o in objects {
+                *asked.entry(*o).or_default() += 1;
+            }
+            LabelBatch {
+                labels: objects
+                    .iter()
+                    .map(|o| self.inner.try_answer_point_labels(*o).ok())
+                    .collect(),
+                error: None,
+            }
+        }
+    }
+
+    /// Four handles ask overlapping point batches at once, one of them with
+    /// a duplicate inside its own batch. Every object reaches the source
+    /// exactly once, every handle gets the raw source's labels, and every
+    /// asked slot is tallied once, as a hit or a forward.
+    #[test]
+    fn concurrent_overlapping_batches_forward_each_object_once() {
+        let t = truth(100, 30);
+        let ids = t.all_ids();
+        let asked = Arc::new(Mutex::new(HashMap::new()));
+        let root = SharedKnowledgeSource::new(CountingSource {
+            inner: PerfectSource::new(&t),
+            asked: Arc::clone(&asked),
+        });
+        // Handle j asks ids[10j..10j + 40]: neighbours share 30 objects.
+        let mut batches: Vec<Vec<ObjectId>> =
+            (0..4).map(|j| ids[j * 10..j * 10 + 40].to_vec()).collect();
+        batches[0].push(ids[5]);
+        let barrier = std::sync::Barrier::new(batches.len());
+        std::thread::scope(|scope| {
+            for batch in &batches {
+                let mut handle = root.clone();
+                let (barrier, t) = (&barrier, &t);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let labels = handle.try_answer_point_labels_many(batch);
+                    let raw: Vec<Option<Labels>> =
+                        batch.iter().map(|o| Some(t.labels_of(*o))).collect();
+                    assert_eq!(labels.labels, raw);
+                    assert_eq!(labels.error, None);
+                });
+            }
+        });
+        let asked = asked.lock().unwrap();
+        assert_eq!(asked.len(), 70);
+        assert!(asked.values().all(|n| *n == 1), "{asked:?}");
+        let stats = root.reuse_stats();
+        assert_eq!(stats.forwarded, 70);
+        let slots: usize = batches.iter().map(Vec::len).sum();
+        assert_eq!(stats.questions(), slots as u64);
+    }
+
     /// Whatever the interleaving, shared-store answers equal the raw
     /// source's answers — the store is transparent for consistent sources.
     #[test]
@@ -2068,6 +2127,60 @@ mod tests {
             serde_json::to_string(&*sink.replayed.lock().unwrap()).unwrap(),
             before
         );
+    }
+
+    /// A source that answers its first `allow` labels, then refuses.
+    struct RunsOut<'a> {
+        inner: PerfectSource<'a, VecGroundTruth>,
+        allow: usize,
+    }
+
+    impl AnswerSource for RunsOut<'_> {
+        fn try_answer_set(
+            &mut self,
+            objects: &[ObjectId],
+            target: &Target,
+        ) -> Result<bool, AskError> {
+            self.inner.try_answer_set(objects, target)
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            if self.allow == 0 {
+                return Err(AskError::SourceFailed("ran out".into()));
+            }
+            self.allow -= 1;
+            self.inner.try_answer_point_labels(object)
+        }
+    }
+
+    /// A request that fails part-way still commits what it delivered: the
+    /// labels reach the store and the sink, and the next asker pays only
+    /// for the rest.
+    #[test]
+    fn partly_delivered_batch_commits_what_arrived() {
+        let t = truth(30, 6);
+        let ids = t.all_ids();
+        let root = SharedKnowledgeSource::new(PerfectSource::new(&t));
+        let sink = Arc::new(ReplaySink::default());
+        root.set_fact_sink(Arc::clone(&sink) as Arc<dyn FactSink>);
+        let mut failing = root.with_inner(RunsOut {
+            inner: PerfectSource::new(&t),
+            allow: 4,
+        });
+        let batch = failing.try_answer_point_labels_many(&ids[..10]);
+        assert_eq!(batch.answered_prefix(), 4);
+        assert!(batch.labels[4..].iter().all(Option::is_none));
+        assert!(matches!(batch.error, Some(AskError::SourceFailed(_))));
+        assert_eq!(sink.replayed.lock().unwrap().labels_known(), 4);
+
+        let mut healthy = root.clone();
+        let labels = healthy.try_answer_point_labels_batch(&ids[..10]).unwrap();
+        assert_eq!(
+            labels,
+            (0..10).map(|i| t.labels_of(ids[i])).collect::<Vec<_>>()
+        );
+        let stats = healthy.local_reuse_stats();
+        assert_eq!((stats.hits, stats.forwarded), (4, 6));
     }
 
     /// Seeded facts answer questions but reach neither stats-as-spend nor

@@ -10,6 +10,19 @@
 //! simulated platform round-trip latency is configured — share waiting
 //! time: the concurrency win the `service_throughput` bench measures.
 //!
+//! A point request carries a whole batch of labels
+//! ([`AnswerSource::try_answer_point_labels_many`]); a lone label is a
+//! batch of one. So a job alone in its round still gets the paper's
+//! layout: a `k`-label sample goes out as `⌈k/n⌉` HITs in one round, not
+//! `k` one-image HITs in `k` rounds. The round lays every request's labels
+//! end to end, so a request may straddle HITs. A HIT is all-or-nothing;
+//! when one fails, each request riding in it gets the error together with
+//! every label its other HITs delivered.
+//!
+//! Counters stay in question units: a `k`-label request counts `k` in
+//! `max_round_questions` and the round histogram. Retries, dead letters
+//! and breaker strikes count once per request per HIT, not once per image.
+//!
 //! In the full service stack the set queries arriving here are the
 //! **residuals** left after the shared knowledge store decided or narrowed
 //! each query — the dispatcher publishes exactly the crowd work that no
@@ -29,7 +42,7 @@
 //! fast until the cooldown's half-open probe succeeds.
 
 use crate::breaker::BreakerRegistry;
-use coverage_core::engine::{AnswerSource, BatchAnswerSource, ObjectId};
+use coverage_core::engine::{AnswerSource, BatchAnswerSource, LabelBatch, ObjectId};
 use coverage_core::error::AskError;
 use coverage_core::schema::Labels;
 use coverage_core::target::Target;
@@ -163,7 +176,8 @@ pub struct DispatchStats {
     pub set_batches: u64,
     /// Yes/no membership HITs served.
     pub memberships_served: u64,
-    /// The largest number of questions drained in one round.
+    /// The largest number of questions drained in one round, a `k`-label
+    /// point request counting `k`.
     pub max_round_questions: u64,
     /// Redeliveries after transient failures (each is one extra platform
     /// call that the governed ledger never re-charges).
@@ -182,8 +196,10 @@ enum Question {
         objects: Vec<ObjectId>,
         target: Target,
     },
+    /// A point-label request: one label per object. A lone label is a
+    /// batch of one.
     Point {
-        object: ObjectId,
+        objects: Vec<ObjectId>,
     },
     Membership {
         object: ObjectId,
@@ -191,9 +207,22 @@ enum Question {
     },
 }
 
+impl Question {
+    /// How many questions the request carries: a point request counts
+    /// one per label.
+    fn count(&self) -> u64 {
+        match self {
+            Self::Point { objects } => objects.len() as u64,
+            Self::Set { .. } | Self::Membership { .. } => 1,
+        }
+    }
+}
+
 enum Answer {
     Bool(bool),
-    Labels(Labels),
+    /// The labels a point request got, slot by slot, and the error of any
+    /// HIT that failed.
+    Labels(LabelBatch),
     /// The platform refused or failed this question; the error is relayed
     /// verbatim to the asking job.
     Failed(AskError),
@@ -278,11 +307,9 @@ impl AnswerSource for DispatchHandle {
     }
 
     fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
-        match self.ask(Question::Point { object })? {
-            Answer::Labels(l) => Ok(l),
-            Answer::Failed(e) => Err(e),
-            Answer::Bool(_) => unreachable!("point query answered with bool"),
-        }
+        self.try_answer_point_labels_many(&[object])
+            .into_result()
+            .map(|labels| labels[0])
     }
 
     fn try_answer_membership(
@@ -297,6 +324,18 @@ impl AnswerSource for DispatchHandle {
             Answer::Bool(b) => Ok(b),
             Answer::Failed(e) => Err(e),
             Answer::Labels(_) => unreachable!("membership query answered with labels"),
+        }
+    }
+
+    /// Ships the whole batch as one request, so the dispatcher lays it out
+    /// as ⌈k/n⌉ HITs in a single round.
+    fn try_answer_point_labels_many(&mut self, objects: &[ObjectId]) -> LabelBatch {
+        match self.ask(Question::Point {
+            objects: objects.to_vec(),
+        }) {
+            Ok(Answer::Labels(batch)) => batch,
+            Ok(Answer::Failed(e)) | Err(e) => LabelBatch::refused(objects.len(), e),
+            Ok(Answer::Bool(_)) => unreachable!("point query answered with bool"),
         }
     }
 }
@@ -435,8 +474,8 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
             pending.push(more);
         }
         stats.rounds += 1;
-        stats.max_round_questions = stats.max_round_questions.max(pending.len() as u64);
-        let round_questions = pending.len() as u64;
+        let round_questions: u64 = pending.iter().map(|r| r.question.count()).sum();
+        stats.max_round_questions = stats.max_round_questions.max(round_questions);
 
         // The crowd answers the whole round's HITs in parallel: one
         // simulated round trip covers everything drained this round.
@@ -447,9 +486,10 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
         // A failing platform (e.g. an out-of-range object id reaching the
         // simulator) must fail only the jobs whose questions it was serving,
         // not the whole run: the fallible source returns `Err`, which is
-        // relayed as `Answer::Failed` to exactly those jobs — the job
-        // runner turns it into `JobStatus::Failed`.
-        let mut point_replies: Vec<(ObjectId, Origin, mpsc::Sender<Answer>)> = Vec::new();
+        // relayed to exactly those jobs (as `Answer::Failed`, or inside a
+        // point request's `LabelBatch`) — the job runner turns it into
+        // `JobStatus::Failed`.
+        let mut point_requests: Vec<(Vec<ObjectId>, Origin, mpsc::Sender<Answer>)> = Vec::new();
         let mut set_replies: Vec<(Vec<ObjectId>, Target, Origin, mpsc::Sender<Answer>)> =
             Vec::new();
         for request in pending {
@@ -472,8 +512,8 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
                 continue;
             }
             match request.question {
-                Question::Point { object } => {
-                    point_replies.push((object, request.origin, request.reply));
+                Question::Point { objects } => {
+                    point_requests.push((objects, request.origin, request.reply));
                 }
                 Question::Set { objects, target } => {
                     set_replies.push((objects, target, request.origin, request.reply));
@@ -552,10 +592,33 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
             let _ = reply.send(answer);
         }
 
-        for chunk in point_replies.chunks(cfg.point_batch) {
-            cfg.telemetry.record_point_batch(chunk.len() as u64);
-            let objects: Vec<ObjectId> = chunk.iter().map(|(o, _, _)| *o).collect();
-            let origins: Vec<&Origin> = chunk.iter().map(|(_, origin, _)| origin).collect();
+        // Every request's labels end to end, in arrival order, cut into
+        // HITs. A HIT is all-or-nothing (see the BatchAnswerSource docs):
+        // a failed one leaves its slots empty and hands the error to each
+        // request riding in it.
+        let slots: Vec<(usize, usize)> = point_requests
+            .iter()
+            .enumerate()
+            .flat_map(|(r, (objects, _, _))| (0..objects.len()).map(move |slot| (r, slot)))
+            .collect();
+        let mut batches: Vec<LabelBatch> = point_requests
+            .iter()
+            .map(|(objects, _, _)| LabelBatch {
+                labels: vec![None; objects.len()],
+                error: None,
+            })
+            .collect();
+        for hit in slots.chunks(cfg.point_batch) {
+            cfg.telemetry.record_point_batch(hit.len() as u64);
+            let objects: Vec<ObjectId> = hit
+                .iter()
+                .map(|&(r, slot)| point_requests[r].0[slot])
+                .collect();
+            // One origin per request riding in the HIT: retry, dead-letter
+            // and breaker counts move once per request, not once per image.
+            let mut riders: Vec<usize> = hit.iter().map(|&(r, _)| r).collect();
+            riders.dedup();
+            let origins: Vec<&Origin> = riders.iter().map(|&r| &point_requests[r].1).collect();
             match serve_with_retry(
                 source,
                 cfg,
@@ -568,18 +631,19 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
                 Ok(labels) => {
                     stats.point_hits += 1;
                     stats.points_served += labels.len() as u64;
-                    for ((_, _, reply), l) in chunk.iter().zip(labels) {
-                        let _ = reply.send(Answer::Labels(l));
+                    for (&(r, slot), l) in hit.iter().zip(labels) {
+                        batches[r].labels[slot] = Some(l);
                     }
                 }
                 Err(e) => {
-                    // The batch is all-or-nothing: every job in the chunk
-                    // receives the failure (see BatchAnswerSource docs).
-                    for (_, _, reply) in chunk {
-                        let _ = reply.send(Answer::Failed(e.clone()));
+                    for r in riders {
+                        batches[r].error.get_or_insert_with(|| e.clone());
                     }
                 }
             }
+        }
+        for ((_, _, reply), batch) in point_requests.into_iter().zip(batches) {
+            let _ = reply.send(Answer::Labels(batch));
         }
 
         // Close the round's books after every reply has gone out: the
@@ -883,6 +947,139 @@ mod tests {
         });
         assert_eq!(stats.breaker_rejections, 1);
         assert_eq!(stats.retry_exhausted, 2);
+    }
+
+    /// A platform whose every HIT carrying `poison` fails transiently.
+    struct Poisoned<'a> {
+        inner: PerfectSource<'a, VecGroundTruth>,
+        poison: ObjectId,
+    }
+
+    impl AnswerSource for Poisoned<'_> {
+        fn try_answer_set(
+            &mut self,
+            objects: &[ObjectId],
+            target: &Target,
+        ) -> Result<bool, AskError> {
+            self.inner.try_answer_set(objects, target)
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            self.inner.try_answer_point_labels(object)
+        }
+    }
+
+    impl BatchAnswerSource for Poisoned<'_> {
+        fn try_answer_point_labels_batch(
+            &mut self,
+            objects: &[ObjectId],
+        ) -> Result<Vec<Labels>, AskError> {
+            if objects.contains(&self.poison) {
+                return Err(AskError::Transient {
+                    reason: "platform error".into(),
+                    attempt: 1,
+                });
+            }
+            self.inner.try_answer_point_labels_batch(objects)
+        }
+    }
+
+    /// Queues one point request per `(job, objects)` for tenant `t`, then
+    /// serves them all in one dispatcher round; returns each request's
+    /// answer.
+    fn one_round(
+        source: &mut Poisoned<'_>,
+        cfg: &DispatcherConfig,
+        requests: &[(u64, Vec<ObjectId>)],
+    ) -> (DispatchStats, Vec<LabelBatch>) {
+        let (tx, rx) = mpsc::channel();
+        let replies: Vec<mpsc::Receiver<Answer>> = requests
+            .iter()
+            .map(|(job, objects)| {
+                let (reply, answer) = mpsc::channel();
+                tx.send(Request {
+                    question: Question::Point {
+                        objects: objects.clone(),
+                    },
+                    origin: Origin {
+                        tenant: Arc::from("t"),
+                        job: Some(*job),
+                    },
+                    reply,
+                })
+                .unwrap();
+                answer
+            })
+            .collect();
+        drop(tx);
+        let stats = run_dispatcher(source, rx, cfg);
+        let answers = replies
+            .into_iter()
+            .map(|answer| match answer.recv().unwrap() {
+                Answer::Labels(batch) => batch,
+                _ => panic!("a point request is answered with labels"),
+            })
+            .collect();
+        (stats, answers)
+    }
+
+    /// Two requests in one round straddle HIT boundaries and share a HIT
+    /// that exhausts its retries: each gets the labels its other HITs
+    /// delivered plus the error, and the tenant's retry and breaker
+    /// counters move once per request, not once per image.
+    #[test]
+    fn failed_hit_fails_its_riders_and_counts_once_per_request() {
+        let t = truth(40, 10);
+        let ids = t.all_ids();
+        let telemetry = crate::telemetry::Telemetry::new(16);
+        let cfg = DispatcherConfig {
+            point_batch: 4,
+            telemetry: telemetry.clone(),
+            breakers: BreakerRegistry::new(2, Duration::from_secs(60)),
+            ..fast_retry(3)
+        };
+        let mut source = Poisoned {
+            inner: PerfectSource::new(&t),
+            poison: ids[5],
+        };
+        // HITs: [a0 a1 a2 a3] [a4 a5 b0 b1] [b2 b3 b4 b5]; a5 is poisoned.
+        let (stats, answers) = one_round(
+            &mut source,
+            &cfg,
+            &[(1, ids[0..6].to_vec()), (2, ids[6..12].to_vec())],
+        );
+        let label = |i: usize| Some(t.labels_of(ids[i]));
+        assert_eq!(
+            answers[0].labels,
+            vec![label(0), label(1), label(2), label(3), None, None]
+        );
+        assert_eq!(
+            answers[1].labels,
+            vec![None, None, label(8), label(9), label(10), label(11)]
+        );
+        for answer in &answers {
+            assert!(answer.error.as_ref().is_some_and(AskError::is_transient));
+        }
+        assert_eq!(stats.rounds, 1);
+        assert_eq!(stats.max_round_questions, 12, "counted in labels");
+        assert_eq!((stats.point_hits, stats.points_served), (2, 8));
+        assert_eq!((stats.retries, stats.retry_exhausted), (2, 1));
+        // Two redeliveries of a HIT carrying two requests: 4, not 8.
+        let rendered = telemetry.render_prometheus();
+        assert!(
+            rendered.contains("audit_retries_total{tenant=\"t\"} 4"),
+            "{rendered}"
+        );
+
+        // A lone request whose one 4-image HIT exhausts is one breaker
+        // strike, not four: the threshold-2 breaker stays closed.
+        let (stats, answers) = one_round(&mut source, &cfg, &[(3, ids[4..8].to_vec())]);
+        assert!(answers[0].labels.iter().all(Option::is_none));
+        assert_eq!(stats.retry_exhausted, 1);
+        assert_eq!(
+            cfg.breakers.states(),
+            vec![("t".to_string(), crate::breaker::BreakerState::Closed)]
+        );
     }
 
     #[test]

@@ -4,9 +4,17 @@
 //! reach the platform after the shared knowledge store has answered what it
 //! can and narrowed what it half-knows — in HIT-equivalents: a set query is
 //! one task (narrowed or not), point labels amortize to `1/batch` of a task
-//! each (the dispatcher really does coalesce them into `batch`-image HITs).
-//! Questions the store decides from facts never get here and are free; a
-//! job can only exhaust its budget with genuinely fresh crowd work.
+//! each. The dispatcher really does coalesce them into `batch`-image HITs,
+//! even for a job alone in its round: the engine asks a batch of labels as
+//! one request, and it reaches the dispatcher whole. Questions the store
+//! decides from facts never get here and are free; a job can only exhaust
+//! its budget with genuinely fresh crowd work.
+//!
+//! A batch the caps cannot afford in full is cut, not refused whole: the
+//! governor charges and forwards the longest prefix both caps admit, then
+//! refuses the rest with the [`BudgetSnapshot`] its first label would have
+//! met asked alone. Nothing unaffordable is sent, and the labels that were
+//! affordable are bought and kept.
 //!
 //! Coverage algorithms ask questions through the fallible [`AnswerSource`]
 //! interface, so exhaustion is *data*, not control flow: `GovernedSource`
@@ -17,7 +25,7 @@
 //! [`Exhausted`](crate::job::JobStatus::Exhausted). Nothing panics and no
 //! unwinding crosses any layer.
 
-use coverage_core::engine::{AnswerSource, ObjectId};
+use coverage_core::engine::{AnswerSource, LabelBatch, ObjectId};
 use coverage_core::error::{AskError, BudgetSnapshot};
 use coverage_core::ledger::batched_tasks;
 #[cfg(test)]
@@ -92,6 +100,14 @@ impl Spend {
     fn tasks(&self, batch: usize) -> u64 {
         self.set_queries + batched_tasks(self.point_labels as usize, batch)
     }
+
+    /// How many more point labels fit under `cap`: `tasks` stays within
+    /// `cap` while the label total is at most `(cap − sets) · batch`.
+    fn points_affordable(&self, cap: u64, batch: usize) -> u64 {
+        cap.saturating_sub(self.set_queries)
+            .saturating_mul(batch as u64)
+            .saturating_sub(self.point_labels)
+    }
 }
 
 /// Spend shared by every job of one service run.
@@ -123,13 +139,12 @@ impl GlobalBudget {
         self.spend.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Charges the global ledger; `Err` carries the shared-spend snapshot
-    /// when the cap would be crossed.
-    fn charge(&self, sets: u64, points: u64) -> Result<(), BudgetSnapshot> {
+    /// Charges one set query to the global ledger; `Err` carries the
+    /// shared-spend snapshot when the cap would be crossed.
+    fn charge_set(&self) -> Result<(), BudgetSnapshot> {
         let mut spend = self.lock();
         let mut next = *spend;
-        next.set_queries += sets;
-        next.point_labels += points;
+        next.set_queries += 1;
         if let Some(cap) = self.cap {
             if next.tasks(self.batch) > cap {
                 return Err(BudgetSnapshot {
@@ -141,6 +156,25 @@ impl GlobalBudget {
         }
         *spend = next;
         Ok(())
+    }
+
+    /// Charges the longest prefix of `wanted` point labels the cap admits.
+    /// When that is short of `wanted`, the snapshot is the one the first
+    /// refused label would have met asked alone.
+    fn admit_points(&self, wanted: u64) -> (u64, Option<BudgetSnapshot>) {
+        let mut spend = self.lock();
+        let Some(cap) = self.cap else {
+            spend.point_labels += wanted;
+            return (wanted, None);
+        };
+        let admitted = spend.points_affordable(cap, self.batch).min(wanted);
+        spend.point_labels += admitted;
+        let refusal = (admitted < wanted).then(|| BudgetSnapshot {
+            spent: spend.tasks(self.batch),
+            cap,
+            shared: true,
+        });
+        (admitted, refusal)
     }
 }
 
@@ -188,9 +222,9 @@ impl JobBudget {
         ledger
     }
 
-    /// Charges this job (and the global ledger); `Err` with
-    /// [`AskError::BudgetExhausted`] when a cap would be crossed.
-    fn charge(&self, sets: u64, points: u64) -> Result<(), AskError> {
+    /// Charges one set query to this job (and the global ledger); `Err`
+    /// with [`AskError::BudgetExhausted`] when a cap would be crossed.
+    fn charge_set(&self) -> Result<(), AskError> {
         // A rejected question must not count toward the job's spend on
         // either refusal path, so the local commit happens only after both
         // caps admit it. Lock order is job → global; nothing takes them in
@@ -198,8 +232,7 @@ impl JobBudget {
         // runs a job).
         let mut spend = self.lock();
         let mut next = *spend;
-        next.set_queries += sets;
-        next.point_labels += points;
+        next.set_queries += 1;
         if let Some(cap) = self.cap {
             if next.tasks(self.global.batch) > cap {
                 let snapshot = BudgetSnapshot {
@@ -210,11 +243,40 @@ impl JobBudget {
                 return Err(AskError::BudgetExhausted(snapshot));
             }
         }
-        if let Err(snapshot) = self.global.charge(sets, points) {
-            return Err(AskError::BudgetExhausted(snapshot));
-        }
+        self.global
+            .charge_set()
+            .map_err(AskError::BudgetExhausted)?;
         *spend = next;
         Ok(())
+    }
+
+    /// Charges the longest prefix of `wanted` point labels that both caps
+    /// admit, and returns its length. When that is short of `wanted`, the
+    /// `Err` is exactly what the first refused label would have met asked
+    /// on its own: the job cap is checked before the global one, and the
+    /// snapshot counts the admitted prefix as spent.
+    fn admit_points(&self, wanted: usize) -> (usize, Result<(), AskError>) {
+        let wanted = wanted as u64;
+        let mut spend = self.lock();
+        let job_room = self.cap.map_or(wanted, |cap| {
+            spend.points_affordable(cap, self.global.batch).min(wanted)
+        });
+        let (admitted, global_refusal) = self.global.admit_points(job_room);
+        spend.point_labels += admitted;
+        // Short of `wanted` without a global refusal means the job cap bit.
+        let refusal = match global_refusal {
+            _ if admitted == wanted => None,
+            Some(snapshot) => Some(snapshot),
+            None => self.cap.map(|cap| BudgetSnapshot {
+                spent: spend.tasks(self.global.batch),
+                cap,
+                shared: false,
+            }),
+        };
+        (
+            admitted as usize,
+            refusal.map_or(Ok(()), |snapshot| Err(AskError::BudgetExhausted(snapshot))),
+        )
     }
 }
 
@@ -235,13 +297,14 @@ impl<S> GovernedSource<S> {
 
 impl<S: AnswerSource> AnswerSource for GovernedSource<S> {
     fn try_answer_set(&mut self, objects: &[ObjectId], target: &Target) -> Result<bool, AskError> {
-        self.budget.charge(1, 0)?;
+        self.budget.charge_set()?;
         self.inner.try_answer_set(objects, target)
     }
 
     fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
-        self.budget.charge(0, 1)?;
-        self.inner.try_answer_point_labels(object)
+        self.try_answer_point_labels_many(&[object])
+            .into_result()
+            .map(|labels| labels[0])
     }
 
     fn try_answer_membership(
@@ -249,8 +312,29 @@ impl<S: AnswerSource> AnswerSource for GovernedSource<S> {
         object: ObjectId,
         target: &Target,
     ) -> Result<bool, AskError> {
-        self.budget.charge(0, 1)?;
+        self.budget.admit_points(1).1?;
         self.inner.try_answer_membership(object, target)
+    }
+
+    /// Charges and forwards the longest affordable prefix as one request,
+    /// then refuses the rest with the snapshot the per-object path would
+    /// have reported. Labels past the prefix are never sent. An error from
+    /// the forwarded prefix comes first: asked one at a time, the job
+    /// would have stopped there before reaching the cap.
+    fn try_answer_point_labels_many(&mut self, objects: &[ObjectId]) -> LabelBatch {
+        let (admitted, refusal) = self.budget.admit_points(objects.len());
+        let mut batch = if admitted == 0 {
+            LabelBatch {
+                labels: Vec::new(),
+                error: None,
+            }
+        } else {
+            self.inner
+                .try_answer_point_labels_many(&objects[..admitted])
+        };
+        batch.labels.resize(objects.len(), None);
+        batch.error = batch.error.or(refusal.err());
+        batch
     }
 }
 
@@ -258,6 +342,7 @@ impl<S: AnswerSource> AnswerSource for GovernedSource<S> {
 mod tests {
     use super::*;
     use coverage_core::engine::{GroundTruth, PerfectSource, VecGroundTruth};
+    use coverage_core::memo::MemoizedSource;
     use coverage_core::pattern::Pattern;
 
     fn truth(n: usize, minority: usize) -> VecGroundTruth {
@@ -321,6 +406,63 @@ mod tests {
         }
         // The refused question was not charged.
         assert_eq!(budget.tasks_spent(), 2);
+    }
+
+    /// A point batch admits the longest prefix both caps allow, forwards
+    /// only that prefix, and refuses the rest with the snapshot (and the
+    /// spend) that asking its labels one at a time would have produced.
+    #[test]
+    fn batch_admits_the_prefix_single_asks_would() {
+        let t = truth(200, 20);
+        let ids = t.all_ids();
+        // (job cap, global cap, set queries spent first, labels asked)
+        let cases = [
+            (Some(2), None, 0, 120),    // the job cap bites at 100 labels
+            (Some(3), Some(2), 1, 120), // the global cap bites first, at 50
+            (Some(2), Some(2), 1, 120), // both bite at 50; the job cap is checked first
+            (None, Some(4), 2, 60),     // room for 100: the whole batch passes
+            (Some(1), None, 1, 10),     // no room at all
+        ];
+        for (job_cap, global_cap, sets, wanted) in cases {
+            let run = |batched: bool| {
+                let global = GlobalBudget::new(global_cap, 50);
+                let budget = JobBudget::new(job_cap, Arc::clone(&global));
+                let mut src = GovernedSource::new(
+                    MemoizedSource::new(PerfectSource::new(&t)),
+                    budget.clone(),
+                );
+                for i in 0..sets {
+                    src.try_answer_set(&ids[i * 5..i * 5 + 5], &female())
+                        .unwrap();
+                }
+                let (delivered, error) = if batched {
+                    let batch = src.try_answer_point_labels_many(&ids[..wanted]);
+                    assert_eq!(batch.labels.len(), wanted);
+                    (batch.answered_prefix(), batch.error)
+                } else {
+                    let mut delivered = 0;
+                    let mut error = None;
+                    for id in &ids[..wanted] {
+                        match src.try_answer_point_labels(*id) {
+                            Ok(_) => delivered += 1,
+                            Err(e) => {
+                                error = Some(e);
+                                break;
+                            }
+                        }
+                    }
+                    (delivered, error)
+                };
+                let forwarded = src.inner.cache_misses() - sets as u64;
+                assert_eq!(forwarded, delivered as u64, "only the prefix is sent");
+                (delivered, error, budget.tasks_spent(), global.tasks_spent())
+            };
+            assert_eq!(
+                run(true),
+                run(false),
+                "caps {job_cap:?}/{global_cap:?}, {sets} set(s), {wanted} label(s)"
+            );
+        }
     }
 
     #[test]
