@@ -23,6 +23,7 @@ use crate::error::{require_positive_n, try_ask, Interrupted};
 use crate::group_coverage::{group_coverage, DncConfig, GroupCoverageOutcome};
 use crate::ledger::TaskLedger;
 use crate::target::Target;
+use crate::tree::{Held, Waves};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
@@ -326,6 +327,14 @@ pub fn classifier_coverage<S: AnswerSource, R: Rng + ?Sized>(
 ///
 /// `early_stop`: when `Some(k)`, stop as soon as `k` members are verified.
 ///
+/// The chunks wait in a FIFO queue, and the pass asks them in **waves**
+/// ([`Engine::ask_sets`]), like Group-Coverage: every chunk it is certain
+/// to ask next, as one request. A chunk is certain while the members
+/// verified so far plus the sizes of the chunks ahead of it (the head
+/// included) stay below `k`; with `None` every queued chunk is certain. So
+/// the pass asks exactly the questions of a one-at-a-time pass and
+/// verifies the same members in the same order.
+///
 /// # Errors
 /// On an ask-path failure the [`Interrupted`] error carries the members
 /// verified before the cut.
@@ -339,29 +348,79 @@ pub fn partition<S: AnswerSource>(
     require_positive_n(n);
     let reverse = target.negated();
     let mut verified = Vec::new();
-    let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-    let mut start = 0usize;
-    while start < objects.len() {
-        let end = (start + n).min(objects.len());
-        queue.push_back((start, end));
-        start = end;
-    }
-    while let Some((b, e)) = queue.pop_front() {
-        if let Some(k) = early_stop {
-            if verified.len() >= k {
-                break;
+    let mut waves = Waves::default();
+    // Pending chunks `(b, e)`, each with what a wave left for it.
+    let mut queue: VecDeque<(usize, usize, Held)> = (0..objects.len())
+        .step_by(n)
+        .map(|b| (b, (b + n).min(objects.len()), Held::Unasked))
+        .collect();
+    while let Some((b, e, mut held)) = queue.pop_front() {
+        if early_stop.is_some_and(|k| verified.len() >= k) {
+            break;
+        }
+        if held == Held::Unasked {
+            let certain = |ahead: usize| early_stop.is_none_or(|k| verified.len() + ahead < k);
+            let mut ahead = e - b;
+            let mut wave: Vec<usize> = Vec::new();
+            for (i, &(cb, ce, held)) in queue.iter().enumerate() {
+                if !certain(ahead) || matches!(held, Held::Failed(_)) {
+                    break;
+                }
+                if held == Held::Unasked {
+                    wave.push(i);
+                }
+                ahead += ce - cb;
+            }
+            let sets: Vec<&[ObjectId]> = std::iter::once(&objects[b..e])
+                .chain(wave.iter().map(|&i| &objects[queue[i].0..queue[i].1]))
+                .collect();
+            let mut answers = waves.ask(engine, &sets, &reverse).into_iter();
+            held = answers.next().expect("the head is in its wave");
+            for (i, answer) in wave.into_iter().zip(answers) {
+                queue[i].2 = answer;
             }
         }
-        let any_not = try_ask!(engine.ask_set(&objects[b..e], &reverse), verified);
+        let any_not = try_ask!(waves.answer(held), verified);
         if !any_not {
             // No outsider in this chunk: every object verified at once.
+            verified.extend_from_slice(&objects[b..e]);
+        } else if e - b > 1 {
+            let mid = b + (e - b).div_ceil(2);
+            queue.push_back((b, mid, Held::Unasked));
+            queue.push_back((mid, e, Held::Unasked));
+        }
+        // A singleton answering "yes, not in g" is a false positive: drop.
+    }
+    Ok(verified)
+}
+
+/// The one-at-a-time partition pass the wave pass replaced, kept as the
+/// oracle the wave pass is tested against.
+#[cfg(test)]
+fn partition_one_at_a_time<S: AnswerSource>(
+    engine: &mut Engine<S>,
+    objects: &[ObjectId],
+    target: &Target,
+    n: usize,
+    early_stop: Option<usize>,
+) -> Result<Vec<ObjectId>, Interrupted<Vec<ObjectId>>> {
+    let reverse = target.negated();
+    let mut verified = Vec::new();
+    let mut queue: VecDeque<(usize, usize)> = (0..objects.len())
+        .step_by(n)
+        .map(|b| (b, (b + n).min(objects.len())))
+        .collect();
+    while let Some((b, e)) = queue.pop_front() {
+        if early_stop.is_some_and(|k| verified.len() >= k) {
+            break;
+        }
+        if !try_ask!(engine.ask_set(&objects[b..e], &reverse), verified) {
             verified.extend_from_slice(&objects[b..e]);
         } else if e - b > 1 {
             let mid = b + (e - b).div_ceil(2);
             queue.push_back((b, mid));
             queue.push_back((mid, e));
         }
-        // A singleton answering "yes, not in g" is a false positive: drop.
     }
     Ok(verified)
 }
@@ -371,6 +430,7 @@ mod tests {
     use super::*;
     use crate::engine::GroundTruth;
     use crate::engine::{PerfectSource, VecGroundTruth};
+    use crate::group_coverage::tests::AskLog;
     use crate::pattern::Pattern;
     use crate::schema::Labels;
     use rand::rngs::SmallRng;
@@ -552,6 +612,66 @@ mod tests {
         .unwrap();
         assert!(!out.covered);
         assert_eq!(out.count, 45);
+    }
+
+    /// Without an early stop every queued chunk is certain: the wave pass
+    /// asks one request per BFS level.
+    #[test]
+    fn partition_asks_one_wave_per_level() {
+        let positives: Vec<usize> = (0..200).filter(|i| i % 50 != 7).collect();
+        let truth = truth_spread(200, &positives);
+        let mut engine = Engine::new(AskLog::new(&truth));
+        let verified = partition(&mut engine, &truth.all_ids(), &minority(), 50, None).unwrap();
+        assert_eq!(verified.len(), 196);
+        // The four roots in one wave, then one wave per halving of the
+        // chunks that hold an outsider: 50 → 25 → 13 → 7 → 4 → 2 → 1.
+        assert_eq!(engine.source().requests, 1 + 6);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(384))]
+
+        /// The wave pass asks exactly the chunks the one-at-a-time pass
+        /// asks and verifies the same members in the same order, with and
+        /// without an early stop.
+        #[test]
+        fn prop_partition_waves_match_one_at_a_time(
+            total in 1usize..1500,
+            outsiders in 0.0f64..1.0,
+            n in 1usize..300,
+            n_is_one in proptest::bool::ANY,
+            early_stop in proptest::option::of(0usize..400),
+            seed in 0u64..10_000,
+        ) {
+            let n = if n_is_one { 1 } else { n };
+            let mut state = seed.wrapping_mul(2654435761).wrapping_add(7);
+            let positives: Vec<usize> = (0..total)
+                .filter(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    ((state >> 33) as f64 / (1u64 << 31) as f64) >= outsiders
+                })
+                .collect();
+            let truth = truth_spread(total, &positives);
+            let run = |waves: bool| {
+                let mut engine = Engine::new(AskLog::new(&truth));
+                let ids = truth.all_ids();
+                let verified = if waves {
+                    partition(&mut engine, &ids, &minority(), n, early_stop)
+                } else {
+                    partition_one_at_a_time(&mut engine, &ids, &minority(), n, early_stop)
+                }
+                .unwrap();
+                let ledger = *engine.ledger();
+                let mut asked = engine.source().asked.clone();
+                asked.sort_unstable();
+                (verified, ledger, asked, engine.source().requests)
+            };
+            let (waves, oracle) = (run(true), run(false));
+            proptest::prop_assert_eq!(&waves.0, &oracle.0);
+            proptest::prop_assert_eq!(waves.1, oracle.1);
+            proptest::prop_assert_eq!(&waves.2, &oracle.2);
+            proptest::prop_assert!(waves.3 <= oracle.3);
+        }
     }
 
     #[test]

@@ -17,6 +17,14 @@
 //! ([`AnswerSource::try_answer_point_labels_many`]), so a serving layer
 //! below can publish it as `⌈k/n⌉` real HITs at once.
 //!
+//! Set queries come one at a time or as a **wave**: every set query a
+//! divide-and-conquer driver is certain to ask next (the rule lives in
+//! [`group_coverage`](mod@crate::group_coverage)). A wave is the third
+//! request shape: it goes to the source as one request
+//! ([`AnswerSource::try_answer_sets_many`]), so a serving layer below can
+//! answer it in one platform round. Each delivered set is still one task,
+//! exactly as if it had been asked alone.
+//!
 //! The ask path is **fallible**: every question can come back as an
 //! [`AskError`] — a budget refused it, the run's [`CancelToken`] was
 //! flipped, or the source itself failed. Sources that can never fail
@@ -184,74 +192,104 @@ pub trait AnswerSource {
     /// budget governor, the `coverage-service` dispatcher, which lays one
     /// request out as ⌈k/n⌉ HITs in one round) see the whole batch.
     ///
-    /// Delivery is per slot, not all-or-nothing: see [`LabelBatch`]. The
+    /// Delivery is per slot, not all-or-nothing: see [`Batch`]. The
     /// default asks one object at a time and stops at the first error, so
     /// its delivered slots are always a prefix.
     fn try_answer_point_labels_many(&mut self, objects: &[ObjectId]) -> LabelBatch {
-        let mut labels = Vec::with_capacity(objects.len());
-        for object in objects {
-            match self.try_answer_point_labels(*object) {
-                Ok(l) => labels.push(Some(l)),
+        Batch::one_at_a_time(objects, |object| self.try_answer_point_labels(*object))
+    }
+
+    /// Answer a set query about `target` for every set in `sets` as **one
+    /// request**: the shape [`Engine::ask_sets`] asks a wave in, so layers
+    /// that can serve many sets at once (a reuse store, a budget governor,
+    /// the `coverage-service` dispatcher, which serves a round's sets as one
+    /// platform call) see the whole wave.
+    ///
+    /// Delivery is per slot, as for labels. The default asks one set at a
+    /// time and stops at the first error, so its delivered slots are always
+    /// a prefix.
+    fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+        Batch::one_at_a_time(sets, |objects| self.try_answer_set(objects, target))
+    }
+}
+
+/// What one many-question request delivered: a slot per question, in
+/// order, and the error that left any slot empty. [`LabelBatch`] carries
+/// point labels, [`SetBatch`] set-query verdicts.
+///
+/// Below the engine a request is not all-or-nothing. A budget may admit
+/// only a prefix of it, and one HIT of several may fail while the others
+/// land. Every delivered answer is real crowd work, so reuse layers commit
+/// it even when `error` is set; only the engine's caller decides what an
+/// empty slot means ([`Batch::into_result`] turns a label batch back into
+/// all-or-nothing).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Batch<T> {
+    /// `Some` where the question's answer was delivered.
+    pub slots: Vec<Option<T>>,
+    /// Why some slot is empty; `None` exactly when every slot is filled.
+    pub error: Option<AskError>,
+}
+
+/// The answer to a point-label request: one label slot per object.
+pub type LabelBatch = Batch<Labels>;
+
+/// The answer to a set-query wave: one verdict slot per set.
+pub type SetBatch = Batch<bool>;
+
+impl<T> Batch<T> {
+    /// A batch of `len` empty slots, refused as a whole with `error`.
+    pub fn refused(len: usize, error: AskError) -> Self {
+        Self {
+            slots: std::iter::repeat_with(|| None).take(len).collect(),
+            error: Some(error),
+        }
+    }
+
+    /// Asks `ask` about each item in order and stops at the first error,
+    /// so the delivered slots are a prefix: the default shape of every
+    /// many-question request.
+    pub fn one_at_a_time<I>(items: &[I], mut ask: impl FnMut(&I) -> Result<T, AskError>) -> Self {
+        let mut slots = Vec::with_capacity(items.len());
+        for item in items {
+            match ask(item) {
+                Ok(answer) => slots.push(Some(answer)),
                 Err(error) => {
-                    labels.resize(objects.len(), None);
-                    return LabelBatch {
-                        labels,
+                    slots.resize_with(items.len(), || None);
+                    return Self {
+                        slots,
                         error: Some(error),
                     };
                 }
             }
         }
-        LabelBatch {
-            labels,
-            error: None,
-        }
-    }
-}
-
-/// What one point-label request delivered: a slot per asked object, in
-/// order, and the error that left any slot empty.
-///
-/// Below the engine a batch is not all-or-nothing. A budget may admit only
-/// a prefix of it, and one HIT of several may fail while the others land.
-/// Every delivered label is real crowd work, so reuse layers commit it
-/// even when `error` is set; only the engine turns the batch back into
-/// all-or-nothing for the algorithm ([`LabelBatch::into_result`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LabelBatch {
-    /// `Some` where the object's label was delivered.
-    pub labels: Vec<Option<Labels>>,
-    /// Why some slot is empty; `None` exactly when every slot is filled.
-    pub error: Option<AskError>,
-}
-
-impl LabelBatch {
-    /// A batch of `len` empty slots, refused as a whole with `error`.
-    pub fn refused(len: usize, error: AskError) -> Self {
-        Self {
-            labels: vec![None; len],
-            error: Some(error),
-        }
+        Self { slots, error: None }
     }
 
     /// How many leading slots are filled: the answered prefix, which is
-    /// what the engine meters when the batch fails.
+    /// what the engine meters when a label batch fails.
     pub fn answered_prefix(&self) -> usize {
-        self.labels.iter().take_while(|l| l.is_some()).count()
+        self.slots.iter().take_while(|s| s.is_some()).count()
     }
 
-    /// Every label, in order, or the error if any slot is empty.
+    /// How many slots are filled, wherever they sit.
+    pub fn delivered(&self) -> usize {
+        self.slots.iter().filter(|s| s.is_some()).count()
+    }
+
+    /// Every answer, in order, or the error if any slot is empty.
     ///
     /// # Panics
     /// Panics when a slot is empty without an error, which breaks the
-    /// [`AnswerSource::try_answer_point_labels_many`] contract.
-    pub fn into_result(self) -> Result<Vec<Labels>, AskError> {
+    /// many-question request contract.
+    pub fn into_result(self) -> Result<Vec<T>, AskError> {
         if let Some(error) = self.error {
             return Err(error);
         }
         Ok(self
-            .labels
+            .slots
             .into_iter()
-            .map(|l| l.expect("an empty slot carries an error"))
+            .map(|s| s.expect("an empty slot carries an error"))
             .collect())
     }
 }
@@ -597,6 +635,25 @@ impl<S: AnswerSource> Engine<S> {
         Ok(ans)
     }
 
+    /// Issues a **wave** of set queries about one target as one request
+    /// ([`AnswerSource::try_answer_sets_many`]), so a serving layer below
+    /// can answer the whole wave in one platform round.
+    ///
+    /// Each delivered set is one logical task, metered as if it had been
+    /// asked alone. A wave the source cut short still meters what it
+    /// delivered: those answers are real crowd work (a governor has
+    /// charged them, and behind a cache they stay reusable). What an empty
+    /// slot means is the caller's decision: the divide-and-conquer drivers
+    /// stop with its error when they reach it.
+    pub fn ask_sets(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+        if let Err(error) = self.checkpoint() {
+            return SetBatch::refused(sets.len(), error);
+        }
+        let batch = self.source.try_answer_sets_many(sets, target);
+        self.ledger.record_set_queries(batch.delivered() as u64);
+        batch
+    }
+
     /// Labels a single object as its own task (used by `Base-Coverage`-style
     /// single-object HITs).
     pub fn ask_point_labels_single(&mut self, object: ObjectId) -> Result<Labels, AskError> {
@@ -735,7 +792,8 @@ mod tests {
         assert_eq!(engine.ledger().point_labels(), 120);
     }
 
-    /// A source that logs the size of every point request it receives.
+    /// A source that logs the size of every many-question request it
+    /// receives.
     struct RequestLog<'a, G: GroundTruth> {
         inner: PerfectSource<'a, G>,
         requests: Vec<usize>,
@@ -758,6 +816,53 @@ mod tests {
             self.requests.push(objects.len());
             self.inner.try_answer_point_labels_many(objects)
         }
+
+        fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+            self.requests.push(sets.len());
+            self.inner.try_answer_sets_many(sets, target)
+        }
+    }
+
+    #[test]
+    fn set_waves_travel_as_one_request_and_meter_each_set() {
+        let truth = truth_with_minority(30, 7);
+        let target = Target::group(Pattern::parse("1").unwrap());
+        let ids = truth.all_ids();
+        let source = RequestLog {
+            inner: PerfectSource::new(&truth),
+            requests: Vec::new(),
+        };
+        let mut engine = Engine::new(source);
+        let sets: Vec<&[ObjectId]> = ids.chunks(10).collect();
+        let wave = engine.ask_sets(&sets, &target);
+        assert_eq!(wave.into_result(), Ok(vec![true, false, false]));
+        assert_eq!(engine.source().requests, vec![3]);
+        assert_eq!(engine.ledger().set_queries(), 3);
+        assert_eq!(engine.ledger().total_tasks(), 3);
+    }
+
+    /// A wave cut short meters what it delivered, and a cancelled run asks
+    /// nothing at all.
+    #[test]
+    fn a_cut_wave_meters_its_delivered_sets() {
+        let truth = truth_with_minority(30, 7);
+        let target = Target::group(Pattern::parse("1").unwrap());
+        let ids = truth.all_ids();
+        let token = CancelToken::new();
+        let mut engine = Engine::new(FlakySource {
+            inner: PerfectSource::new(&truth),
+            allow: 2,
+        })
+        .with_cancel_token(token.clone());
+        let sets: Vec<&[ObjectId]> = ids.chunks(10).collect();
+        let wave = engine.ask_sets(&sets, &target);
+        assert_eq!(wave.slots, vec![Some(true), Some(false), None]);
+        assert!(matches!(wave.error, Some(AskError::SourceFailed(_))));
+        assert_eq!(engine.ledger().set_queries(), 2);
+        token.cancel();
+        let wave = engine.ask_sets(&sets, &target);
+        assert_eq!(wave, SetBatch::refused(3, AskError::Cancelled));
+        assert_eq!(engine.ledger().set_queries(), 2);
     }
 
     #[test]

@@ -14,11 +14,41 @@
 //!
 //! Cost: `Θ(N/n + τ·log n)` tasks in the worst case, which is only an
 //! additive `Θ(τ·log n)` above the trivial `N/n` lower bound (§3.2).
+//!
+//! ## Set-query waves
+//!
+//! The driver processes one node at a time, exactly as Algorithm 1 does,
+//! but it does not *ask* one set at a time. When it needs an answer it
+//! does not hold, it asks a **wave**: every set query in the frontier that
+//! the one-at-a-time run is certain to ask next, as one request
+//! ([`Engine::ask_sets`]). The wave walks the frontier in pop order,
+//! starting with the node about to be asked:
+//!
+//! * every root and the first-popped child of each sibling pair joins;
+//! * a second-popped child joins only if its sibling is known to have said
+//!   *yes* — after a known *no* the sibling substitution (line 12) answers
+//!   it for free, and an unknown sibling leaves it out of this wave;
+//! * the walk stops before any entry the run might stop ahead of: `cnt`
+//!   plus the increments still possible ahead of the entry must stay below
+//!   `τ`. Under BFS each root and each second-popped child ahead adds at
+//!   most one. Under the DFS ablation a node's whole subtree runs before
+//!   the rest of the stack, so each entry ahead adds at most its length
+//!   (the members it could hold); one per entry would under-count there.
+//!   An entry whose answer a wave already delivered as *no* adds nothing.
+//!
+//! So a wave holds only questions the one-at-a-time run asks, each once,
+//! and a run with no failures asks exactly the same set queries and
+//! returns the same outcome and ledger, under BFS and DFS. Answers are
+//! consumed in the driver's own order; when it reaches a slot a failed
+//! wave did not deliver, it stops with that wave's error and asks nothing
+//! again. The answers must not depend on when a question is asked (a
+//! perfect oracle, a per-question-seeded crowd); a stream-seeded crowd
+//! draws its noise in call order, so a wave's order can move its answers.
 
 use crate::engine::{AnswerSource, Engine, ObjectId};
 use crate::error::{require_positive_n, try_ask, Interrupted};
 use crate::target::Target;
-use crate::tree::{Arena, Frontier, Node, NO_NODE};
+use crate::tree::{Arena, Frontier, Held, Node, Waves, NO_NODE};
 use serde::{Deserialize, Serialize};
 
 /// Frontier discipline for the execution tree.
@@ -158,6 +188,7 @@ pub fn group_coverage<S: AnswerSource>(
     }
 
     let mut cnt = 0usize;
+    let mut waves = Waves::default();
 
     // Line 4: main loop.
     while let Some(first) = frontier.pop(&arena.removed) {
@@ -171,8 +202,22 @@ pub fn group_coverage<S: AnswerSource>(
             let ans = if known_yes {
                 true
             } else {
+                if node.held == Held::Unasked {
+                    let wave = certain_wave(&arena, &frontier, id, cnt, tau, config.traversal);
+                    let sets: Vec<&[ObjectId]> = wave
+                        .iter()
+                        .map(|&w| {
+                            let node = arena.nodes[w as usize];
+                            &pool[node.b as usize..node.e as usize]
+                        })
+                        .collect();
+                    let held = waves.ask(engine, &sets, target);
+                    for (&w, held) in wave.iter().zip(held) {
+                        arena.nodes[w as usize].held = held;
+                    }
+                }
                 try_ask!(
-                    engine.ask_set(&pool[node.b as usize..node.e as usize], target),
+                    waves.answer(arena.nodes[id as usize].held),
                     GroupCoverageOutcome {
                         covered: false,
                         count: cnt,
@@ -249,11 +294,169 @@ pub fn group_coverage<S: AnswerSource>(
     })
 }
 
+/// The wave headed by `head`, the node just popped: `head` plus every
+/// unasked frontier entry the one-at-a-time run is certain to ask (see the
+/// module docs for the rule), in pop order.
+fn certain_wave(
+    arena: &Arena,
+    frontier: &Frontier,
+    head: u32,
+    cnt: usize,
+    tau: usize,
+    traversal: Traversal,
+) -> Vec<u32> {
+    let node = |id: u32| &arena.nodes[id as usize];
+    // A child pair is pushed left then right: BFS pops the left one (the
+    // lower id) first, DFS the right one.
+    let pops_second = |id: u32| {
+        let sibling = node(id).sibling;
+        match traversal {
+            Traversal::Bfs => id > sibling,
+            Traversal::Dfs => id < sibling,
+        }
+    };
+    // The most `cnt` can grow between popping `id` and popping the next
+    // entry. A first-popped child adds nothing under BFS: a yes only marks
+    // its parent, a no hands over to its sibling, which adds nothing either.
+    // An answer already held as *no* adds nothing under either traversal.
+    let increments = |id: u32| match (node(id).held, traversal) {
+        (Held::Answer(false), _) => 0,
+        (_, Traversal::Bfs) => usize::from(node(id).is_root() || pops_second(id)),
+        (_, Traversal::Dfs) => node(id).len() as usize,
+    };
+    let mut wave = vec![head];
+    let mut ahead = increments(head);
+    for id in frontier.pending(&arena.removed) {
+        if cnt + ahead >= tau {
+            break;
+        }
+        match node(id).held {
+            // The run stops with that wave's error when it gets there.
+            Held::Failed(_) => break,
+            Held::Answer(_) => {}
+            Held::Unasked => {
+                let sibling = node(id).sibling;
+                // A pending second-popped child whose sibling is done: the
+                // sibling said yes (a no would have substituted this one).
+                let certain = node(id).is_root()
+                    || !pops_second(id)
+                    || node(sibling).done
+                    || node(sibling).held == Held::Answer(true);
+                if certain {
+                    wave.push(id);
+                }
+            }
+        }
+        ahead += increments(id);
+    }
+    wave
+}
+
+/// The one-at-a-time loop the wave driver replaced: every set query is its
+/// own request. Kept as the oracle the wave driver is tested against.
 #[cfg(test)]
-mod tests {
+pub(crate) fn group_coverage_one_at_a_time<S: AnswerSource>(
+    engine: &mut Engine<S>,
+    pool: &[ObjectId],
+    target: &Target,
+    tau: usize,
+    n: usize,
+    config: &DncConfig,
+) -> Result<GroupCoverageOutcome, Interrupted<GroupCoverageOutcome>> {
+    require_positive_n(n);
+    let before = engine.ledger_snapshot();
+    let mut witnesses = Vec::new();
+    if tau == 0 || pool.is_empty() {
+        return Ok(GroupCoverageOutcome {
+            covered: tau == 0,
+            count: 0,
+            set_queries: 0,
+            witnesses,
+        });
+    }
+    let mut arena = Arena::with_capacity(2 * pool.len().div_ceil(n));
+    let mut frontier = match config.traversal {
+        Traversal::Bfs => Frontier::fifo(),
+        Traversal::Dfs => Frontier::lifo(),
+    };
+    for start in (0..pool.len()).step_by(n) {
+        let end = (start + n).min(pool.len());
+        frontier.push(arena.push(Node::root(start as u32, end as u32)));
+    }
+    let mut cnt = 0usize;
+    while let Some(first) = frontier.pop(&arena.removed) {
+        let mut id = first;
+        let mut known_yes = false;
+        loop {
+            let node = arena.nodes[id as usize];
+            let ans = known_yes
+                || try_ask!(
+                    engine.ask_set(&pool[node.b as usize..node.e as usize], target),
+                    GroupCoverageOutcome {
+                        covered: false,
+                        count: cnt,
+                        set_queries: engine.ledger().since(&before).set_queries(),
+                        witnesses,
+                    }
+                );
+            arena.nodes[id as usize].done = true;
+            if node.is_root() {
+                if !ans {
+                    break;
+                }
+                cnt += 1;
+            } else if !ans {
+                let sib = node.sibling;
+                if arena.nodes[sib as usize].done {
+                    break;
+                }
+                arena.removed[sib as usize] = true;
+                id = sib;
+                known_yes = true;
+                continue;
+            } else {
+                let parent = node.parent as usize;
+                if arena.nodes[parent].checked {
+                    cnt += 1;
+                } else {
+                    arena.nodes[parent].checked = true;
+                }
+            }
+            let node = arena.nodes[id as usize];
+            if config.collect_witnesses && node.len() == 1 {
+                witnesses.push(pool[node.b as usize]);
+            }
+            if cnt >= tau {
+                return Ok(GroupCoverageOutcome {
+                    covered: true,
+                    count: cnt,
+                    set_queries: engine.ledger().since(&before).set_queries(),
+                    witnesses,
+                });
+            }
+            if node.len() > 1 {
+                let (left, right) = arena.split(id);
+                frontier.push(left);
+                frontier.push(right);
+            }
+            break;
+        }
+    }
+    Ok(GroupCoverageOutcome {
+        covered: false,
+        count: cnt,
+        set_queries: engine.ledger().since(&before).set_queries(),
+        witnesses,
+    })
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
-    use crate::engine::GroundTruth;
+    use crate::engine::{Batch, GroundTruth, SetBatch};
     use crate::engine::{PerfectSource, VecGroundTruth};
+    use crate::error::AskError;
+    use crate::ledger::TaskLedger;
     use crate::pattern::Pattern;
     use crate::schema::Labels;
     use proptest::prelude::*;
@@ -477,6 +680,188 @@ mod tests {
             "{} > {bound}",
             out.set_queries
         );
+    }
+
+    /// A perfect oracle that logs every set it answers and every request
+    /// it receives, and refuses every set past the first `allow`.
+    pub(crate) struct AskLog<'a> {
+        inner: PerfectSource<'a, VecGroundTruth>,
+        pub(crate) asked: Vec<Vec<ObjectId>>,
+        pub(crate) requests: usize,
+        allow: usize,
+    }
+
+    impl<'a> AskLog<'a> {
+        pub(crate) fn new(truth: &'a VecGroundTruth) -> Self {
+            Self::capped(truth, usize::MAX)
+        }
+
+        fn capped(truth: &'a VecGroundTruth, allow: usize) -> Self {
+            Self {
+                inner: PerfectSource::new(truth),
+                asked: Vec::new(),
+                requests: 0,
+                allow,
+            }
+        }
+    }
+
+    impl AskLog<'_> {
+        fn answer(&mut self, objects: &[ObjectId], target: &Target) -> Result<bool, AskError> {
+            if self.asked.len() == self.allow {
+                return Err(AskError::SourceFailed("cap".into()));
+            }
+            self.asked.push(objects.to_vec());
+            self.inner.try_answer_set(objects, target)
+        }
+    }
+
+    impl AnswerSource for AskLog<'_> {
+        fn try_answer_set(
+            &mut self,
+            objects: &[ObjectId],
+            target: &Target,
+        ) -> Result<bool, AskError> {
+            self.requests += 1;
+            self.answer(objects, target)
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            self.inner.try_answer_point_labels(object)
+        }
+
+        fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+            self.requests += 1;
+            Batch::one_at_a_time(sets, |objects| self.answer(objects, target))
+        }
+    }
+
+    type Run = (
+        Result<GroupCoverageOutcome, Interrupted<GroupCoverageOutcome>>,
+        TaskLedger,
+        Vec<Vec<ObjectId>>,
+        usize,
+    );
+
+    /// Runs the wave driver and the one-at-a-time oracle on the same input;
+    /// the asked sets come back sorted.
+    fn both_drivers(
+        truth: &VecGroundTruth,
+        tau: usize,
+        n: usize,
+        config: &DncConfig,
+        allow: usize,
+    ) -> (Run, Run) {
+        let pool = truth.all_ids();
+        let run = |waves: bool| -> Run {
+            let mut engine = Engine::new(AskLog::capped(truth, allow));
+            let out = if waves {
+                group_coverage(&mut engine, &pool, &minority(), tau, n, config)
+            } else {
+                group_coverage_one_at_a_time(&mut engine, &pool, &minority(), tau, n, config)
+            };
+            let ledger = *engine.ledger();
+            let source = engine.into_source();
+            let mut asked = source.asked;
+            asked.sort_unstable();
+            (out, ledger, asked, source.requests)
+        };
+        (run(true), run(false))
+    }
+
+    /// Figure 4 with waves: the same seven queries, in fewer requests.
+    #[test]
+    fn running_example_asks_the_same_queries_in_waves() {
+        let truth = truth_from_positions(16, &[4, 7, 12, 13, 15]);
+        let ((out, ledger, asked, requests), (oracle, oracle_ledger, oracle_asked, _)) =
+            both_drivers(&truth, 3, 16, &DncConfig::default(), usize::MAX);
+        assert_eq!(out, oracle);
+        assert_eq!(ledger, oracle_ledger);
+        assert_eq!(asked, oracle_asked);
+        assert_eq!(oracle_ledger.set_queries(), 7);
+        assert!(requests < 7, "{requests} requests for 7 queries");
+    }
+
+    /// With no coverage in sight every root is certain: one wave asks them
+    /// all, and each later BFS level is one or two more.
+    #[test]
+    fn roots_go_out_as_one_wave() {
+        let truth = truth_from_positions(1000, &[]);
+        let mut engine = Engine::new(AskLog::new(&truth));
+        let out = group_coverage(
+            &mut engine,
+            &truth.all_ids(),
+            &minority(),
+            50,
+            50,
+            &DncConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(out.set_queries, 20);
+        assert_eq!(engine.source().requests, 1);
+    }
+
+    /// A wave cut short: the driver uses what arrived, stops with the
+    /// wave's error at the first slot it did not get, and meters every
+    /// delivered set, consumed or not.
+    #[test]
+    fn driver_stops_at_the_first_undelivered_slot() {
+        let positives: Vec<usize> = (0..1000).step_by(37).collect();
+        let truth = truth_from_positions(1000, &positives);
+        let (waves, oracle) = both_drivers(&truth, 50, 50, &DncConfig::with_witnesses(), 12);
+        let (out, ledger, asked, _) = waves;
+        let cut = out.unwrap_err();
+        assert_eq!(cut.error, AskError::SourceFailed("cap".into()));
+        assert_eq!(ledger.set_queries(), 12);
+        assert_eq!(cut.partial.set_queries, 12);
+        assert_eq!(asked.len(), 12);
+        let full = run(&truth, 50, 50, &DncConfig::with_witnesses());
+        assert!(full.witnesses.starts_with(&cut.partial.witnesses));
+        assert!(cut.partial.count <= oracle.0.unwrap_err().partial.count.max(full.count));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// The wave driver asks exactly the set queries the one-at-a-time
+        /// driver asks, and returns the same outcome and ledger, under BFS
+        /// and DFS, with witnesses on and off; n = 1, τ equal to the member
+        /// count and dense pools included.
+        #[test]
+        fn prop_waves_match_the_one_at_a_time_driver(
+            n_total in 1usize..1500,
+            density in 0.0f64..1.0,
+            dense in proptest::bool::ANY,
+            tau in 1usize..200,
+            tau_is_members in proptest::bool::ANY,
+            n in 1usize..300,
+            n_is_one in proptest::bool::ANY,
+            seed in 0u64..10_000,
+            dfs in proptest::bool::ANY,
+            collect_witnesses in proptest::bool::ANY,
+        ) {
+            let density = if dense { density } else { density / 10.0 };
+            let mut positives = Vec::new();
+            let mut state = seed.wrapping_mul(2654435761).wrapping_add(12345);
+            for i in 0..n_total {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                if ((state >> 33) as f64 / (1u64 << 31) as f64) < density {
+                    positives.push(i);
+                }
+            }
+            let tau = if tau_is_members { positives.len().max(1) } else { tau };
+            let n = if n_is_one { 1 } else { n };
+            let truth = truth_from_positions(n_total, &positives);
+            let config = DncConfig {
+                traversal: if dfs { Traversal::Dfs } else { Traversal::Bfs },
+                collect_witnesses,
+            };
+            let (waves, oracle) = both_drivers(&truth, tau, n, &config, usize::MAX);
+            prop_assert_eq!(&waves.0, &oracle.0);
+            prop_assert_eq!(waves.1, oracle.1);
+            prop_assert_eq!(&waves.2, &oracle.2);
+            prop_assert!(waves.3 <= oracle.3);
+        }
     }
 
     proptest! {

@@ -29,7 +29,12 @@ impl TaskLedger {
 
     /// Records one set query (one task).
     pub fn record_set_query(&mut self) {
-        self.set_queries += 1;
+        self.record_set_queries(1);
+    }
+
+    /// Records `count` set queries (one task each).
+    pub fn record_set_queries(&mut self, count: u64) {
+        self.set_queries += count;
     }
 
     /// Records point work: `labels` objects labeled, charged as `tasks` HITs.

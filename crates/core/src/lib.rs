@@ -96,9 +96,9 @@ pub mod prelude {
         classifier_coverage, ClassifierConfig, ClassifierOutcome, FpElimination,
     };
     pub use crate::engine::{
-        AnswerSource, BatchAnswerSource, CancelToken, Engine, ForkableSource, GroundTruth,
-        InfallibleSource, LabelBatch, ObjectId, ObjectIds, PerfectSource, SharedTruthSource,
-        VecGroundTruth,
+        AnswerSource, Batch, BatchAnswerSource, CancelToken, Engine, ForkableSource, GroundTruth,
+        InfallibleSource, LabelBatch, ObjectId, ObjectIds, PerfectSource, SetBatch,
+        SharedTruthSource, VecGroundTruth,
     };
     pub use crate::error::{AskError, BudgetSnapshot, CoverageError, Interrupted};
     pub use crate::group_coverage::{group_coverage, DncConfig, GroupCoverageOutcome, Traversal};

@@ -44,8 +44,21 @@
 //! charged only for the residual questions that actually reach the crowd.
 //! [`ReuseStats`] counts how questions were disposed of — answered from
 //! facts, narrowed, or forwarded untouched.
+//!
+//! ## Requests
+//!
+//! Questions arrive one at a time, as a point-label batch, or as a
+//! set-query wave ([`AnswerSource::try_answer_sets_many`]).
+//! [`SharedKnowledgeSource`] keeps one claim path per shape: a lone label
+//! is a batch of one, a lone set a wave of one. It resolves a request
+//! question by question, claims the undecided ones no other handle has in
+//! flight, forwards them as one request, and commits every answer that
+//! arrived even when the rest failed. Only then does it wait out the
+//! questions other handles had in flight.
 
-use crate::engine::{AnswerSource, BatchAnswerSource, ForkableSource, LabelBatch, ObjectId};
+use crate::engine::{
+    AnswerSource, BatchAnswerSource, ForkableSource, LabelBatch, ObjectId, SetBatch,
+};
 use crate::error::AskError;
 use crate::schema::Labels;
 use crate::target::Target;
@@ -567,7 +580,7 @@ impl<S: AnswerSource> AnswerSource for KnowledgeSource<S> {
         let mut error = None;
         if !unknown.is_empty() {
             let fresh = self.inner.try_answer_point_labels_many(&unknown);
-            for (o, l) in unknown.iter().zip(fresh.labels) {
+            for (o, l) in unknown.iter().zip(fresh.slots) {
                 if let Some(l) = l {
                     self.store.stats.forwarded += 1;
                     self.store.record_labels(*o, l);
@@ -580,7 +593,10 @@ impl<S: AnswerSource> AnswerSource for KnowledgeSource<S> {
             }
             error = fresh.error;
         }
-        LabelBatch { labels, error }
+        LabelBatch {
+            slots: labels,
+            error,
+        }
     }
 }
 
@@ -721,11 +737,13 @@ impl FactShardState {
 }
 
 /// One stripe of the whole-query state: exact `(objects, target)` verdicts
-/// and the in-flight set coalescing concurrent identical set queries.
+/// and the in-flight set coalescing concurrent identical set queries. Both
+/// are keyed per target, then by the object list, so lookups borrow the
+/// query slice.
 #[derive(Debug, Default)]
 struct SetStripeState {
     verdicts: HashMap<Target, HashMap<Vec<ObjectId>, bool>>,
-    in_flight: HashSet<(Vec<ObjectId>, Target)>,
+    in_flight: HashMap<Target, HashSet<Vec<ObjectId>>>,
 }
 
 impl SetStripeState {
@@ -734,6 +752,29 @@ impl SetStripeState {
             .get(target)
             .and_then(|m| m.get(objects))
             .copied()
+    }
+
+    fn is_in_flight(&self, objects: &[ObjectId], target: &Target) -> bool {
+        self.in_flight
+            .get(target)
+            .is_some_and(|sets| sets.contains(objects))
+    }
+
+    /// Claims the query; `false` when another asker holds it.
+    fn claim(&mut self, objects: &[ObjectId], target: &Target) -> bool {
+        if self.is_in_flight(objects, target) {
+            return false;
+        }
+        self.in_flight
+            .entry(target.clone())
+            .or_default()
+            .insert(objects.to_vec())
+    }
+
+    fn release(&mut self, objects: &[ObjectId], target: &Target) {
+        if let Some(sets) = self.in_flight.get_mut(target) {
+            sets.remove(objects);
+        }
     }
 }
 
@@ -978,28 +1019,24 @@ impl ShardedKnowledge {
     }
 }
 
-/// Removes a claimed set-query key and wakes its stripe if the claiming
-/// handle exits without committing an answer — an `Err` from the inner
-/// source or a genuine panic; a waiter then re-claims the question instead
-/// of blocking forever.
+/// Releases every set query a wave claimed but did not commit, and wakes
+/// each one's stripe — on an `Err` from the inner source or a genuine
+/// panic; a waiter then re-claims the question instead of blocking
+/// forever.
 struct SetFlightGuard<'a> {
-    stripe: &'a Stripe<SetStripeState>,
-    key: Option<(Vec<ObjectId>, Target)>,
-}
-
-impl SetFlightGuard<'_> {
-    fn disarm(&mut self) {
-        self.key = None;
-    }
+    shared: &'a ShardedKnowledge,
+    target: &'a Target,
+    sets: Vec<&'a [ObjectId]>,
 }
 
 impl Drop for SetFlightGuard<'_> {
     fn drop(&mut self) {
-        if let Some(key) = self.key.take() {
-            let mut state = self.stripe.lock();
-            state.in_flight.remove(&key);
+        for objects in self.sets.drain(..) {
+            let stripe = self.shared.set_stripe(objects, self.target);
+            let mut state = stripe.lock();
+            state.release(objects, self.target);
             drop(state);
-            self.stripe.ready.notify_all();
+            stripe.ready.notify_all();
         }
     }
 }
@@ -1048,12 +1085,13 @@ impl Drop for LabelFlightGuard<'_> {
 ///
 /// Concurrent misses on the same question are still **coalesced**: the
 /// first asker claims it in its stripe and forwards the residual to its
-/// inner source (no lock held across that call); every other asker waits on
-/// that stripe's condvar and re-resolves against the committed facts. If
-/// the claiming handle *fails* — its budget refuses the question, its job
-/// is cancelled, its connection drops — the failure stays its own: waiters
-/// are woken, re-claim the question and pay for it with their own budget
-/// instead of inheriting the error or blocking forever.
+/// inner source (no lock held across that call), together with the rest of
+/// its wave or batch; every other asker forwards its own claims first, then
+/// waits on that stripe's condvar and re-resolves against the committed
+/// facts. If the claiming handle *fails* — its budget refuses the question,
+/// its job is cancelled, its connection drops — the failure stays its own:
+/// waiters are woken, re-claim the question and pay for it with their own
+/// budget instead of inheriting the error or blocking forever.
 #[derive(Debug)]
 pub struct SharedKnowledgeSource<S> {
     inner: S,
@@ -1291,79 +1329,134 @@ impl<S: AnswerSource + Clone + Send> ForkableSource for SharedKnowledgeSource<S>
 
 impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
     fn try_answer_set(&mut self, objects: &[ObjectId], target: &Target) -> Result<bool, AskError> {
+        self.try_answer_sets_many(&[objects], target)
+            .into_result()
+            .map(|answers| answers[0])
+    }
+
+    /// Serves the sets the store decides, claims the undecided ones no
+    /// other handle has in flight and forwards their residuals to the inner
+    /// source as **one** request. Every verdict it delivered is committed,
+    /// even when the rest of the wave failed or was refused; the
+    /// unanswered claims are released and their waiters woken.
+    ///
+    /// A set is decided by an exact verdict or by object facts (a known
+    /// member, or only known non-members), and both count as hits. The
+    /// residual of an undecided set is frozen at claim time: facts arriving
+    /// mid-flight cannot change a consistent source's answer.
+    ///
+    /// Only then, with no claim held, does the handle wait out the sets
+    /// other handles had in flight (and duplicates of its own claims). It
+    /// resolves them again against what those flights committed and claims
+    /// any whose flight failed as one more request. So no set is forwarded
+    /// twice at once, and two handles waiting on each other's claims cannot
+    /// deadlock.
+    fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
         let shared = Arc::clone(&self.shared);
-        let stripe = shared.set_stripe(objects, target);
-        let key = (objects.to_vec(), target.clone());
-        let (residual, pruned) = loop {
-            // Exact whole-query verdict first (one stripe lock)...
-            {
-                let state = stripe.lock();
-                if let Some(ans) = state.verdict(objects, target) {
-                    self.record_hit();
-                    return Ok(ans);
-                }
-            }
-            // ...then the object-level facts (shard locks, one at a time).
-            let resolution = shared.resolve_objects(objects, target);
-            match resolution {
-                SetResolution::Known(ans) => {
-                    self.record_hit();
-                    return Ok(ans);
-                }
-                SetResolution::Ask { residual, pruned } => {
-                    let mut state = stripe.lock();
-                    // A verdict may have been committed between the fact
-                    // scan and this claim; re-check before claiming.
-                    if let Some(ans) = state.verdict(objects, target) {
+        let mut answers: Vec<Option<bool>> = vec![None; sets.len()];
+        let mut pending: Vec<usize> = (0..sets.len()).collect();
+        while !pending.is_empty() {
+            // (slot, residual, objects pruned) per claimed set, in order.
+            let mut claimed: Vec<(usize, Vec<ObjectId>, usize)> = Vec::new();
+            let mut deferred: Vec<usize> = Vec::new();
+            for i in pending {
+                let objects = sets[i];
+                let stripe = shared.set_stripe(objects, target);
+                // Exact whole-query verdict first (one stripe lock), then
+                // the object-level facts (shard locks, one at a time).
+                let known = stripe.lock().verdict(objects, target);
+                let resolution = match known {
+                    Some(answer) => SetResolution::Known(answer),
+                    None => shared.resolve_objects(objects, target),
+                };
+                match resolution {
+                    SetResolution::Known(answer) => {
                         self.record_hit();
-                        return Ok(ans);
+                        answers[i] = Some(answer);
                     }
-                    if !state.in_flight.contains(&key) {
-                        // Claim the question; the residual is frozen at
-                        // claim time (facts arriving mid-flight cannot
-                        // change a consistent source's answer).
-                        state.in_flight.insert(key.clone());
-                        break (residual, pruned);
+                    SetResolution::Ask { residual, pruned } => {
+                        let mut state = stripe.lock();
+                        // A verdict may have been committed between the
+                        // fact scan and this claim; re-check before claiming.
+                        if let Some(answer) = state.verdict(objects, target) {
+                            self.record_hit();
+                            answers[i] = Some(answer);
+                        } else if state.claim(objects, target) {
+                            claimed.push((i, residual, pruned));
+                        } else {
+                            deferred.push(i);
+                        }
                     }
-                    // Coalesce behind the claimer, then re-resolve from
-                    // scratch against whatever it committed.
-                    drop(
-                        stripe
-                            .ready
-                            .wait(state)
-                            .unwrap_or_else(PoisonError::into_inner),
-                    );
                 }
             }
-        };
-        let mut guard = SetFlightGuard {
-            stripe,
-            key: Some(key.clone()),
-        };
-        let result = self.inner.try_answer_set(&residual, target);
-        let mut state = stripe.lock();
-        state.in_flight.remove(&key);
-        if let Ok(ans) = &result {
-            // Failed questions are not recorded: a coalesced waiter wakes,
-            // re-claims the question and pays for it itself — one handle's
-            // budget abort must not poison another handle's identical ask.
-            state
-                .verdicts
-                .entry(target.clone())
-                .or_default()
-                .insert(key.0.clone(), *ans);
-        }
-        drop(state);
-        guard.disarm();
-        stripe.ready.notify_all();
-        if let Ok(ans) = &result {
-            shared.absorb_set_consequences(&residual, target, *ans);
-            self.record_forwarded(1, pruned as u64);
-            if let Some(sink) = shared.sink.get() {
-                sink.on_set_verdict(objects, &residual, target, *ans);
+            if !claimed.is_empty() {
+                let mut guard = SetFlightGuard {
+                    shared: &shared,
+                    target,
+                    sets: claimed.iter().map(|(i, ..)| sets[*i]).collect(),
+                };
+                let residuals: Vec<&[ObjectId]> = claimed
+                    .iter()
+                    .map(|(_, residual, _)| &residual[..])
+                    .collect();
+                let fresh = self.inner.try_answer_sets_many(&residuals, target);
+                let mut unanswered: Vec<&[ObjectId]> = Vec::new();
+                let mut committed: Vec<(usize, &[ObjectId], bool)> = Vec::new();
+                for ((i, residual, pruned), answer) in claimed.iter().zip(fresh.slots) {
+                    let objects = sets[*i];
+                    let Some(answer) = answer else {
+                        unanswered.push(objects);
+                        continue;
+                    };
+                    let stripe = shared.set_stripe(objects, target);
+                    let mut state = stripe.lock();
+                    state.release(objects, target);
+                    state
+                        .verdicts
+                        .entry(target.clone())
+                        .or_default()
+                        .insert(objects.to_vec(), answer);
+                    drop(state);
+                    stripe.ready.notify_all();
+                    shared.absorb_set_consequences(residual, target, answer);
+                    self.record_forwarded(1, *pruned as u64);
+                    answers[*i] = Some(answer);
+                    committed.push((*i, residual, answer));
+                }
+                // Failed questions are not recorded: a coalesced waiter
+                // wakes, re-claims the question and pays for it itself —
+                // one handle's budget abort must not poison another
+                // handle's identical ask.
+                guard.sets = unanswered;
+                drop(guard);
+                if let Some(sink) = shared.sink.get() {
+                    for (i, residual, answer) in committed {
+                        sink.on_set_verdict(sets[i], residual, target, answer);
+                    }
+                }
+                if let Some(error) = fresh.error {
+                    return SetBatch {
+                        slots: answers,
+                        error: Some(error),
+                    };
+                }
             }
+            for &i in &deferred {
+                let stripe = shared.set_stripe(sets[i], target);
+                let mut state = stripe.lock();
+                while state.is_in_flight(sets[i], target) {
+                    state = stripe
+                        .ready
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            }
+            pending = deferred;
         }
-        result
+        SetBatch {
+            slots: answers,
+            error: None,
+        }
     }
 
     fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
@@ -1436,7 +1529,7 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
                 let fresh = self.inner.try_answer_point_labels_many(&guard.keys);
                 let mut committed: Vec<(ObjectId, Labels)> = Vec::with_capacity(claimed.len());
                 let mut unanswered: Vec<ObjectId> = Vec::new();
-                for (&i, l) in claimed.iter().zip(fresh.labels) {
+                for (&i, l) in claimed.iter().zip(fresh.slots) {
                     let o = objects[i];
                     let Some(l) = l else {
                         unanswered.push(o);
@@ -1463,7 +1556,7 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
                 }
                 if let Some(error) = fresh.error {
                     return LabelBatch {
-                        labels,
+                        slots: labels,
                         error: Some(error),
                     };
                 }
@@ -1481,7 +1574,7 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
             pending = deferred;
         }
         LabelBatch {
-            labels,
+            slots: labels,
             error: None,
         }
     }
@@ -1504,11 +1597,13 @@ mod tests {
         )
     }
 
-    /// A source that records the object set of every set query it serves.
+    /// A source that records the object set of every set query it serves
+    /// and counts the wave requests it receives.
     #[derive(Debug, Clone)]
     struct SpySource<'a> {
         inner: PerfectSource<'a, VecGroundTruth>,
         asked_sets: Vec<Vec<ObjectId>>,
+        wave_requests: usize,
     }
 
     impl<'a> SpySource<'a> {
@@ -1516,6 +1611,7 @@ mod tests {
             Self {
                 inner: PerfectSource::new(t),
                 asked_sets: Vec::new(),
+                wave_requests: 0,
             }
         }
     }
@@ -1532,6 +1628,13 @@ mod tests {
 
         fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
             self.inner.try_answer_point_labels(object)
+        }
+
+        fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+            self.wave_requests += 1;
+            crate::engine::Batch::one_at_a_time(sets, |objects| {
+                self.try_answer_set(objects, target)
+            })
         }
     }
 
@@ -1831,7 +1934,7 @@ mod tests {
                 *asked.entry(*o).or_default() += 1;
             }
             LabelBatch {
-                labels: objects
+                slots: objects
                     .iter()
                     .map(|o| self.inner.try_answer_point_labels(*o).ok())
                     .collect(),
@@ -1867,7 +1970,7 @@ mod tests {
                     let labels = handle.try_answer_point_labels_many(batch);
                     let raw: Vec<Option<Labels>> =
                         batch.iter().map(|o| Some(t.labels_of(*o))).collect();
-                    assert_eq!(labels.labels, raw);
+                    assert_eq!(labels.slots, raw);
                     assert_eq!(labels.error, None);
                 });
             }
@@ -1879,6 +1982,146 @@ mod tests {
         assert_eq!(stats.forwarded, 70);
         let slots: usize = batches.iter().map(Vec::len).sum();
         assert_eq!(stats.questions(), slots as u64);
+    }
+
+    /// A raw source that counts how often each set reaches it and holds
+    /// every wave open for a moment, so that waves asked at once overlap
+    /// while in flight.
+    #[derive(Debug, Clone)]
+    struct SetCounter<'a> {
+        inner: PerfectSource<'a, VecGroundTruth>,
+        asked: Arc<Mutex<HashMap<Vec<ObjectId>, usize>>>,
+    }
+
+    impl AnswerSource for SetCounter<'_> {
+        fn try_answer_set(
+            &mut self,
+            objects: &[ObjectId],
+            target: &Target,
+        ) -> Result<bool, AskError> {
+            self.try_answer_sets_many(&[objects], target)
+                .into_result()
+                .map(|answers| answers[0])
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            self.inner.try_answer_point_labels(object)
+        }
+
+        fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            let mut asked = self.asked.lock().unwrap();
+            for objects in sets {
+                *asked.entry(objects.to_vec()).or_default() += 1;
+            }
+            SetBatch {
+                slots: sets
+                    .iter()
+                    .map(|objects| self.inner.try_answer_set(objects, target).ok())
+                    .collect(),
+                error: None,
+            }
+        }
+    }
+
+    /// Four handles ask overlapping waves on one target at once, one of
+    /// them with a duplicate inside its own wave. Every distinct set
+    /// reaches the source exactly once, every handle gets the raw source's
+    /// answers, and every asked slot is tallied once, as a hit or a
+    /// forward.
+    #[test]
+    fn concurrent_overlapping_waves_forward_each_set_once() {
+        let t = truth(400, 60);
+        let female = Target::group(Pattern::parse("1").unwrap());
+        let ids = t.all_ids();
+        let asked = Arc::new(Mutex::new(HashMap::new()));
+        let root = SharedKnowledgeSource::new(SetCounter {
+            inner: PerfectSource::new(&t),
+            asked: Arc::clone(&asked),
+        });
+        // Handle j asks sets 5j..5j + 20 of 10 objects: neighbours share 15.
+        let chunks: Vec<&[ObjectId]> = ids.chunks(10).collect();
+        let mut waves: Vec<Vec<&[ObjectId]>> =
+            (0..4).map(|j| chunks[j * 5..j * 5 + 20].to_vec()).collect();
+        waves[0].push(chunks[3]);
+        let barrier = std::sync::Barrier::new(waves.len());
+        std::thread::scope(|scope| {
+            for wave in &waves {
+                let mut handle = root.clone();
+                let (barrier, t, female) = (&barrier, &t, &female);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let answers = handle.try_answer_sets_many(wave, female);
+                    let mut raw = PerfectSource::new(t);
+                    let expected: Vec<Option<bool>> = wave
+                        .iter()
+                        .map(|objects| raw.try_answer_set(objects, female).ok())
+                        .collect();
+                    assert_eq!(answers.slots, expected);
+                    assert_eq!(answers.error, None);
+                });
+            }
+        });
+        let asked = asked.lock().unwrap();
+        assert_eq!(asked.len(), 35);
+        assert!(asked.values().all(|n| *n == 1), "{asked:?}");
+        let stats = root.reuse_stats();
+        assert_eq!(stats.forwarded, 35);
+        let slots: usize = waves.iter().map(Vec::len).sum();
+        assert_eq!(stats.questions(), slots as u64);
+    }
+
+    /// A wave is resolved set by set: sets the facts decide are hits, and
+    /// the undecided ones reach the source as one request of residuals.
+    #[test]
+    fn wave_forwards_only_undecided_residuals_as_one_request() {
+        let t = truth(40, 3); // members: 0, 1, 2
+        let female = Target::group(Pattern::parse("1").unwrap());
+        let ids = t.all_ids();
+        let mut src = SharedKnowledgeSource::new(SpySource::new(&t));
+        src.try_answer_point_labels(ObjectId(0)).unwrap(); // a member
+        src.try_answer_point_labels(ObjectId(15)).unwrap(); // a non-member
+        let wave = [&ids[0..5], &ids[10..20], &ids[20..30], &ids[0..5]];
+        let answers = src.try_answer_sets_many(&wave, &female);
+        assert_eq!(answers.into_result(), Ok(vec![true, false, false, true]));
+        let narrowed: Vec<ObjectId> = ids[10..20]
+            .iter()
+            .copied()
+            .filter(|o| *o != ObjectId(15))
+            .collect();
+        assert_eq!(src.inner().asked_sets, vec![narrowed, ids[20..30].to_vec()]);
+        assert_eq!(src.inner().wave_requests, 1);
+        let stats = src.local_reuse_stats();
+        assert_eq!((stats.hits, stats.forwarded), (2, 2 + 2));
+        assert_eq!((stats.narrowed, stats.objects_pruned), (1, 1));
+    }
+
+    /// A wave that fails part-way still commits what it delivered: the
+    /// verdicts reach the store and the sink, the failed claims are
+    /// released, and the next asker pays only for the rest.
+    #[test]
+    fn partly_delivered_wave_commits_what_arrived() {
+        let t = truth(40, 6);
+        let female = Target::group(Pattern::parse("1").unwrap());
+        let ids = t.all_ids();
+        let root = SharedKnowledgeSource::new(PerfectSource::new(&t));
+        let sink = Arc::new(ReplaySink::default());
+        root.set_fact_sink(Arc::clone(&sink) as Arc<dyn FactSink>);
+        let mut failing = root.with_inner(RunsOut {
+            inner: PerfectSource::new(&t),
+            allow: 2,
+        });
+        let sets: Vec<&[ObjectId]> = ids.chunks(10).collect();
+        let wave = failing.try_answer_sets_many(&sets, &female);
+        assert_eq!(wave.slots, vec![Some(true), Some(false), None, None]);
+        assert!(matches!(wave.error, Some(AskError::SourceFailed(_))));
+        assert_eq!(sink.replayed.lock().unwrap().set_verdicts_known(), 2);
+
+        let mut healthy = root.clone();
+        let answers = healthy.try_answer_sets_many(&sets, &female);
+        assert_eq!(answers.into_result(), Ok(vec![true, false, false, false]));
+        let stats = healthy.local_reuse_stats();
+        assert_eq!((stats.hits, stats.forwarded), (2, 2));
     }
 
     /// Whatever the interleaving, shared-store answers equal the raw
@@ -2129,7 +2372,7 @@ mod tests {
         );
     }
 
-    /// A source that answers its first `allow` labels, then refuses.
+    /// A source that answers its first `allow` questions, then refuses.
     struct RunsOut<'a> {
         inner: PerfectSource<'a, VecGroundTruth>,
         allow: usize,
@@ -2141,6 +2384,10 @@ mod tests {
             objects: &[ObjectId],
             target: &Target,
         ) -> Result<bool, AskError> {
+            if self.allow == 0 {
+                return Err(AskError::SourceFailed("ran out".into()));
+            }
+            self.allow -= 1;
             self.inner.try_answer_set(objects, target)
         }
 
@@ -2169,7 +2416,7 @@ mod tests {
         });
         let batch = failing.try_answer_point_labels_many(&ids[..10]);
         assert_eq!(batch.answered_prefix(), 4);
-        assert!(batch.labels[4..].iter().all(Option::is_none));
+        assert!(batch.slots[4..].iter().all(Option::is_none));
         assert!(matches!(batch.error, Some(AskError::SourceFailed(_))));
         assert_eq!(sink.replayed.lock().unwrap().labels_known(), 4);
 

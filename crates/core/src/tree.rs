@@ -1,14 +1,82 @@
 //! Arena-backed binary tree and frontier for the divide-and-conquer
-//! algorithms (Alg. 1 and Alg. 5 of the paper).
+//! algorithms (Alg. 1 and Alg. 5 of the paper), and the wave bookkeeping
+//! both drivers share.
 //!
 //! Nodes are ranges `[b, e)` into a presentation-order pool of objects.
 //! The frontier abstracts the queue discipline: the paper processes nodes
 //! breadth-first (a FIFO queue whose left children are added first); a LIFO
 //! variant is provided for the ablation benchmarks.
+//!
+//! A driver asks the set queries it is certain to ask next as one wave
+//! ([`Engine::ask_sets`]); each pending node then [`Held`] its answer until
+//! the driver reaches it in its own order.
 
+use crate::engine::{AnswerSource, Engine, ObjectId};
+use crate::error::AskError;
+use crate::target::Target;
 use std::collections::VecDeque;
 
 pub(crate) const NO_NODE: u32 = u32::MAX;
+
+/// What the waves asked so far left for one pending node.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Held {
+    /// No wave has asked it yet.
+    #[default]
+    Unasked,
+    /// A wave delivered this answer; the driver has not consumed it yet.
+    Answer(bool),
+    /// A wave could not deliver it; the index names that wave's error in
+    /// [`Waves`].
+    Failed(u32),
+}
+
+/// Asks waves through the engine and keeps the error of every wave that
+/// came back short, so a driver that reaches an undelivered slot stops
+/// with that wave's error instead of asking again.
+#[derive(Debug, Default)]
+pub(crate) struct Waves {
+    errors: Vec<AskError>,
+}
+
+impl Waves {
+    /// Asks `sets` as one wave; returns what it left for each set, in order.
+    pub fn ask<S: AnswerSource>(
+        &mut self,
+        engine: &mut Engine<S>,
+        sets: &[&[ObjectId]],
+        target: &Target,
+    ) -> Vec<Held> {
+        let batch = engine.ask_sets(sets, target);
+        let failed = batch.error.map(|error| {
+            self.errors.push(error);
+            Held::Failed(self.errors.len() as u32 - 1)
+        });
+        batch
+            .slots
+            .into_iter()
+            .map(|slot| {
+                slot.map_or_else(
+                    || failed.expect("an empty slot carries an error"),
+                    Held::Answer,
+                )
+            })
+            .collect()
+    }
+
+    /// The held answer, or the error of the wave that could not deliver it.
+    ///
+    /// # Panics
+    /// Panics on [`Held::Unasked`]: a driver asks a node's wave before it
+    /// reads the node's answer.
+    pub fn answer(&self, held: Held) -> Result<bool, AskError> {
+        match held {
+            Held::Answer(answer) => Ok(answer),
+            Held::Failed(wave) => Err(self.errors[wave as usize].clone()),
+            Held::Unasked => unreachable!("a node's wave is asked before its answer is read"),
+        }
+    }
+}
 
 /// One node of the execution tree.
 #[derive(Debug, Clone, Copy)]
@@ -25,6 +93,8 @@ pub(crate) struct Node {
     pub checked: bool,
     /// True once the node has been resolved (asked or substituted).
     pub done: bool,
+    /// The answer a wave delivered ahead of the driver, if any.
+    pub held: Held,
 }
 
 impl Node {
@@ -36,6 +106,7 @@ impl Node {
             sibling: NO_NODE,
             checked: false,
             done: false,
+            held: Held::Unasked,
         }
     }
 
@@ -71,6 +142,21 @@ impl Frontier {
             Self::Fifo(q) => q.push_back(id),
             Self::Lifo(s) => s.push(id),
         }
+    }
+
+    /// The pending node ids in pop order (front of the queue or top of the
+    /// stack first), tombstones skipped. Read-only: the wave rule walks it
+    /// to see what the driver will pop next.
+    pub fn pending<'a>(&'a self, removed: &'a [bool]) -> impl Iterator<Item = u32> + 'a {
+        let (fifo, lifo) = match self {
+            Self::Fifo(q) => (Some(q.iter()), None),
+            Self::Lifo(s) => (None, Some(s.iter().rev())),
+        };
+        fifo.into_iter()
+            .flatten()
+            .chain(lifo.into_iter().flatten())
+            .copied()
+            .filter(move |id| !removed[*id as usize])
     }
 
     /// Pops the next non-tombstoned node id.
@@ -124,6 +210,7 @@ impl Arena {
             sibling: NO_NODE,
             checked: false,
             done: false,
+            held: Held::Unasked,
         });
         let right = self.push(Node {
             b: mid,
@@ -132,6 +219,7 @@ impl Arena {
             sibling: left,
             checked: false,
             done: false,
+            held: Held::Unasked,
         });
         self.nodes[left as usize].sibling = right;
         (left, right)
@@ -173,6 +261,22 @@ mod tests {
         assert_eq!(f.pop(&removed), Some(0));
         assert_eq!(f.pop(&removed), Some(2)); // 1 skipped
         assert_eq!(f.pop(&removed), None);
+    }
+
+    #[test]
+    fn pending_walks_in_pop_order() {
+        let removed = vec![false, true, false, false];
+        for (mut f, order) in [
+            (Frontier::fifo(), vec![0, 2, 3]),
+            (Frontier::lifo(), vec![3, 2, 0]),
+        ] {
+            for id in 0..4 {
+                f.push(id);
+            }
+            assert_eq!(f.pending(&removed).collect::<Vec<_>>(), order);
+            let popped: Vec<u32> = std::iter::from_fn(|| f.pop(&removed)).collect();
+            assert_eq!(popped, order, "the view matches what pop yields");
+        }
     }
 
     #[test]

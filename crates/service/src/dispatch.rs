@@ -19,9 +19,20 @@
 //! when one fails, each request riding in it gets the error together with
 //! every label its other HITs delivered.
 //!
-//! Counters stay in question units: a `k`-label request counts `k` in
-//! `max_round_questions` and the round histogram. Retries, dead letters
-//! and breaker strikes count once per request per HIT, not once per image.
+//! A set request carries a whole wave of set queries about one target
+//! ([`AnswerSource::try_answer_sets_many`]); a lone set is a wave of one.
+//! So a Group-Coverage job alone in its round pays one round per wave, not
+//! one per query. The round's sets, every request's laid end to end, go to
+//! the platform as one [`BatchAnswerSource::try_answer_sets_batch`] call.
+//! That call is all-or-nothing; when it fails, the round falls back to one
+//! platform call per set, request by request, and a request stops at its
+//! first failed set (its later sets are not asked).
+//!
+//! Counters stay in question units: a `k`-label or `k`-set request counts
+//! `k` in `max_round_questions` and the round histogram, and the served
+//! counters count delivered questions only. Retries, dead letters and
+//! breaker strikes count once per request per platform call, not once per
+//! image or set.
 //!
 //! In the full service stack the set queries arriving here are the
 //! **residuals** left after the shared knowledge store decided or narrowed
@@ -42,7 +53,9 @@
 //! fast until the cooldown's half-open probe succeeds.
 
 use crate::breaker::BreakerRegistry;
-use coverage_core::engine::{AnswerSource, BatchAnswerSource, LabelBatch, ObjectId};
+use coverage_core::engine::{
+    AnswerSource, Batch, BatchAnswerSource, LabelBatch, ObjectId, SetBatch,
+};
 use coverage_core::error::AskError;
 use coverage_core::schema::Labels;
 use coverage_core::target::Target;
@@ -167,14 +180,14 @@ pub struct DispatchStats {
     pub rounds: u64,
     /// Coalesced point-label HITs published.
     pub point_hits: u64,
-    /// Individual point labels served through those HITs.
+    /// Individual point labels delivered through those HITs.
     pub points_served: u64,
-    /// Set-query HITs served.
+    /// Set-query answers delivered.
     pub set_queries_served: u64,
     /// Rounds whose pending set queries went to the platform as one
     /// coalesced [`BatchAnswerSource::try_answer_sets_batch`] call.
     pub set_batches: u64,
-    /// Yes/no membership HITs served.
+    /// Yes/no membership answers delivered.
     pub memberships_served: u64,
     /// The largest number of questions drained in one round, a `k`-label
     /// point request counting `k`.
@@ -192,8 +205,10 @@ pub struct DispatchStats {
 }
 
 enum Question {
-    Set {
-        objects: Vec<ObjectId>,
+    /// A set request: a wave of set queries about one target. A lone set
+    /// is a wave of one.
+    Sets {
+        sets: Vec<Vec<ObjectId>>,
         target: Target,
     },
     /// A point-label request: one label per object. A lone label is a
@@ -209,17 +224,22 @@ enum Question {
 
 impl Question {
     /// How many questions the request carries: a point request counts
-    /// one per label.
+    /// one per label, a set request one per set.
     fn count(&self) -> u64 {
         match self {
             Self::Point { objects } => objects.len() as u64,
-            Self::Set { .. } | Self::Membership { .. } => 1,
+            Self::Sets { sets, .. } => sets.len() as u64,
+            Self::Membership { .. } => 1,
         }
     }
 }
 
 enum Answer {
+    /// A membership verdict.
     Bool(bool),
+    /// The verdicts a set request got, slot by slot, and the error that
+    /// left any slot empty.
+    Sets(SetBatch),
     /// The labels a point request got, slot by slot, and the error of any
     /// HIT that failed.
     Labels(LabelBatch),
@@ -296,14 +316,9 @@ impl DispatchHandle {
 
 impl AnswerSource for DispatchHandle {
     fn try_answer_set(&mut self, objects: &[ObjectId], target: &Target) -> Result<bool, AskError> {
-        match self.ask(Question::Set {
-            objects: objects.to_vec(),
-            target: target.clone(),
-        })? {
-            Answer::Bool(b) => Ok(b),
-            Answer::Failed(e) => Err(e),
-            Answer::Labels(_) => unreachable!("set query answered with labels"),
-        }
+        self.try_answer_sets_many(&[objects], target)
+            .into_result()
+            .map(|answers| answers[0])
     }
 
     fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
@@ -323,7 +338,24 @@ impl AnswerSource for DispatchHandle {
         })? {
             Answer::Bool(b) => Ok(b),
             Answer::Failed(e) => Err(e),
-            Answer::Labels(_) => unreachable!("membership query answered with labels"),
+            Answer::Sets(_) | Answer::Labels(_) => {
+                unreachable!("membership query answered with a batch")
+            }
+        }
+    }
+
+    /// Ships the whole wave as one request, so the dispatcher serves it in
+    /// a single round.
+    fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+        match self.ask(Question::Sets {
+            sets: sets.iter().map(|objects| objects.to_vec()).collect(),
+            target: target.clone(),
+        }) {
+            Ok(Answer::Sets(batch)) => batch,
+            Ok(Answer::Failed(e)) | Err(e) => SetBatch::refused(sets.len(), e),
+            Ok(Answer::Bool(_) | Answer::Labels(_)) => {
+                unreachable!("set request answered with another shape")
+            }
         }
     }
 
@@ -335,7 +367,9 @@ impl AnswerSource for DispatchHandle {
         }) {
             Ok(Answer::Labels(batch)) => batch,
             Ok(Answer::Failed(e)) | Err(e) => LabelBatch::refused(objects.len(), e),
-            Ok(Answer::Bool(_)) => unreachable!("point query answered with bool"),
+            Ok(Answer::Bool(_) | Answer::Sets(_)) => {
+                unreachable!("point request answered with another shape")
+            }
         }
     }
 }
@@ -490,7 +524,10 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
         // point request's `LabelBatch`) — the job runner turns it into
         // `JobStatus::Failed`.
         let mut point_requests: Vec<(Vec<ObjectId>, Origin, mpsc::Sender<Answer>)> = Vec::new();
-        let mut set_replies: Vec<(Vec<ObjectId>, Target, Origin, mpsc::Sender<Answer>)> =
+        // Every set request's sets end to end, in arrival order; each
+        // request keeps the range of its sets.
+        let mut set_queries: Vec<(Vec<ObjectId>, Target)> = Vec::new();
+        let mut set_requests: Vec<(std::ops::Range<usize>, Origin, mpsc::Sender<Answer>)> =
             Vec::new();
         for request in pending {
             // Intake gate: a tenant whose circuit is open fails fast —
@@ -515,11 +552,12 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
                 Question::Point { objects } => {
                     point_requests.push((objects, request.origin, request.reply));
                 }
-                Question::Set { objects, target } => {
-                    set_replies.push((objects, target, request.origin, request.reply));
+                Question::Sets { sets, target } => {
+                    let start = set_queries.len();
+                    set_queries.extend(sets.into_iter().map(|objects| (objects, target.clone())));
+                    set_requests.push((start..set_queries.len(), request.origin, request.reply));
                 }
                 Question::Membership { object, target } => {
-                    stats.memberships_served += 1;
                     let origin = request.origin;
                     let answer = match serve_with_retry(
                         source,
@@ -530,7 +568,10 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
                         true,
                         |s| s.try_answer_membership(object, &target),
                     ) {
-                        Ok(ans) => Answer::Bool(ans),
+                        Ok(ans) => {
+                            stats.memberships_served += 1;
+                            Answer::Bool(ans)
+                        }
                         Err(e) => Answer::Failed(e),
                     };
                     let _ = request.reply.send(answer);
@@ -542,54 +583,48 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
         // platform as one batch. `try_answer_sets_batch`'s contract says a
         // conforming source serves and charges *nothing* on `Err`
         // (`MTurkSim` pre-validates every id for exactly this reason), so
-        // the per-question fallback below re-serves the round without
+        // the per-set fallback below re-serves the round without
         // double-publishing — isolating a data-dependent failure (one
         // job's out-of-range id) to the asking job instead of failing
         // everyone coalesced into the batch.
-        stats.set_queries_served += set_replies.len() as u64;
-        let mut individually: Vec<(Vec<ObjectId>, Target, Origin, mpsc::Sender<Answer>)> =
-            Vec::new();
-        if set_replies.len() > 1 {
-            let queries: Vec<(Vec<ObjectId>, Target)> = set_replies
-                .iter()
-                .map(|(objects, target, _, _)| (objects.clone(), target.clone()))
-                .collect();
-            let origins: Vec<&Origin> =
-                set_replies.iter().map(|(_, _, origin, _)| origin).collect();
-            match serve_with_retry(
+        let mut set_answers: Option<Vec<bool>> = None;
+        if set_queries.len() > 1 {
+            let origins: Vec<&Origin> = set_requests.iter().map(|(_, origin, _)| origin).collect();
+            if let Ok(answers) = serve_with_retry(
                 source,
                 cfg,
                 &mut stats,
                 &origins,
                 "coalesced set batch",
                 false,
-                |s| s.try_answer_sets_batch(&queries),
+                |s| s.try_answer_sets_batch(&set_queries),
             ) {
-                Ok(answers) => {
-                    stats.set_batches += 1;
-                    for ((_, _, _, reply), ans) in set_replies.into_iter().zip(answers) {
-                        let _ = reply.send(Answer::Bool(ans));
-                    }
-                }
-                Err(_) => individually = set_replies,
+                stats.set_batches += 1;
+                set_answers = Some(answers);
             }
-        } else {
-            individually = set_replies;
         }
-        for (objects, target, origin, reply) in individually {
-            let answer = match serve_with_retry(
-                source,
-                cfg,
-                &mut stats,
-                &[&origin],
-                "set question",
-                true,
-                |s| s.try_answer_set(&objects, &target),
-            ) {
-                Ok(ans) => Answer::Bool(ans),
-                Err(e) => Answer::Failed(e),
+        for (range, origin, reply) in set_requests {
+            let batch = match &set_answers {
+                Some(answers) => Batch {
+                    slots: answers[range].iter().map(|ans| Some(*ans)).collect(),
+                    error: None,
+                },
+                // One platform call per set; the request stops at its
+                // first failed set.
+                None => Batch::one_at_a_time(&set_queries[range], |(objects, target)| {
+                    serve_with_retry(
+                        source,
+                        cfg,
+                        &mut stats,
+                        &[&origin],
+                        "set question",
+                        true,
+                        |s| s.try_answer_set(objects, target),
+                    )
+                }),
             };
-            let _ = reply.send(answer);
+            stats.set_queries_served += batch.delivered() as u64;
+            let _ = reply.send(Answer::Sets(batch));
         }
 
         // Every request's labels end to end, in arrival order, cut into
@@ -604,7 +639,7 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
         let mut batches: Vec<LabelBatch> = point_requests
             .iter()
             .map(|(objects, _, _)| LabelBatch {
-                labels: vec![None; objects.len()],
+                slots: vec![None; objects.len()],
                 error: None,
             })
             .collect();
@@ -632,7 +667,7 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
                     stats.point_hits += 1;
                     stats.points_served += labels.len() as u64;
                     for (&(r, slot), l) in hit.iter().zip(labels) {
-                        batches[r].labels[slot] = Some(l);
+                        batches[r].slots[slot] = Some(l);
                     }
                 }
                 Err(e) => {
@@ -984,26 +1019,23 @@ mod tests {
         }
     }
 
-    /// Queues one point request per `(job, objects)` for tenant `t`, then
-    /// serves them all in one dispatcher round; returns each request's
-    /// answer.
-    fn one_round(
-        source: &mut Poisoned<'_>,
+    /// Queues every `(tenant, job, question)` request, then serves them all
+    /// in one dispatcher round; returns each request's answer.
+    fn serve_round<S: BatchAnswerSource>(
+        source: &mut S,
         cfg: &DispatcherConfig,
-        requests: &[(u64, Vec<ObjectId>)],
-    ) -> (DispatchStats, Vec<LabelBatch>) {
+        requests: Vec<(&str, u64, Question)>,
+    ) -> (DispatchStats, Vec<Answer>) {
         let (tx, rx) = mpsc::channel();
         let replies: Vec<mpsc::Receiver<Answer>> = requests
-            .iter()
-            .map(|(job, objects)| {
+            .into_iter()
+            .map(|(tenant, job, question)| {
                 let (reply, answer) = mpsc::channel();
                 tx.send(Request {
-                    question: Question::Point {
-                        objects: objects.clone(),
-                    },
+                    question,
                     origin: Origin {
-                        tenant: Arc::from("t"),
-                        job: Some(*job),
+                        tenant: Arc::from(tenant),
+                        job: Some(job),
                     },
                     reply,
                 })
@@ -1013,14 +1045,207 @@ mod tests {
             .collect();
         drop(tx);
         let stats = run_dispatcher(source, rx, cfg);
-        let answers = replies
+        let answers = replies.into_iter().map(|a| a.recv().unwrap()).collect();
+        (stats, answers)
+    }
+
+    /// Queues one point request per `(job, objects)` for tenant `t`, then
+    /// serves them all in one dispatcher round; returns each request's
+    /// answer.
+    fn one_round(
+        source: &mut Poisoned<'_>,
+        cfg: &DispatcherConfig,
+        requests: &[(u64, Vec<ObjectId>)],
+    ) -> (DispatchStats, Vec<LabelBatch>) {
+        let requests = requests
+            .iter()
+            .map(|(job, objects)| {
+                let objects = objects.clone();
+                ("t", *job, Question::Point { objects })
+            })
+            .collect();
+        let (stats, answers) = serve_round(source, cfg, requests);
+        let answers = answers
             .into_iter()
-            .map(|answer| match answer.recv().unwrap() {
+            .map(|answer| match answer {
                 Answer::Labels(batch) => batch,
                 _ => panic!("a point request is answered with labels"),
             })
             .collect();
         (stats, answers)
+    }
+
+    /// A platform that chokes on ids past the end of its truth: every call
+    /// carrying one fails, transiently or (with `permanent`) for good.
+    struct Ranged<'a> {
+        inner: PerfectSource<'a, VecGroundTruth>,
+        len: usize,
+        permanent: bool,
+    }
+
+    impl Ranged<'_> {
+        fn check(&self, objects: &[ObjectId]) -> Result<(), AskError> {
+            if objects.iter().all(|o| o.index() < self.len) {
+                return Ok(());
+            }
+            Err(if self.permanent {
+                AskError::SourceFailed("unknown image".into())
+            } else {
+                AskError::Transient {
+                    reason: "platform error: unknown image".into(),
+                    attempt: 1,
+                }
+            })
+        }
+    }
+
+    impl AnswerSource for Ranged<'_> {
+        fn try_answer_set(
+            &mut self,
+            objects: &[ObjectId],
+            target: &Target,
+        ) -> Result<bool, AskError> {
+            self.check(objects)?;
+            self.inner.try_answer_set(objects, target)
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            self.check(&[object])?;
+            self.inner.try_answer_point_labels(object)
+        }
+    }
+
+    impl BatchAnswerSource for Ranged<'_> {
+        fn try_answer_sets_batch(
+            &mut self,
+            queries: &[(Vec<ObjectId>, Target)],
+        ) -> Result<Vec<bool>, AskError> {
+            for (objects, _) in queries {
+                self.check(objects)?;
+            }
+            queries
+                .iter()
+                .map(|(objects, target)| self.inner.try_answer_set(objects, target))
+                .collect()
+        }
+    }
+
+    fn sets_question(sets: &[&[ObjectId]]) -> Question {
+        Question::Sets {
+            sets: sets.iter().map(|objects| objects.to_vec()).collect(),
+            target: Target::group(Pattern::parse("1").unwrap()),
+        }
+    }
+
+    fn set_batch(answer: Answer) -> SetBatch {
+        match answer {
+            Answer::Sets(batch) => batch,
+            _ => panic!("a set request is answered with a set batch"),
+        }
+    }
+
+    /// Two waves share a round and one carries an out-of-range id. The
+    /// coalesced call fails, so the round falls back to one call per set:
+    /// the healthy wave is served whole, the bad one stops at its first
+    /// failed set, and the bad tenant's retry and breaker counters move
+    /// once per platform call, not once per set.
+    #[test]
+    fn a_bad_wave_fails_alone_and_counts_once_per_request() {
+        let t = truth(40, 10);
+        let ids = t.all_ids();
+        let bad = [ObjectId(99)];
+        let telemetry = crate::telemetry::Telemetry::new(16);
+        let cfg = DispatcherConfig {
+            telemetry: telemetry.clone(),
+            breakers: BreakerRegistry::new(2, Duration::from_secs(60)),
+            ..fast_retry(2)
+        };
+        let mut source = Ranged {
+            inner: PerfectSource::new(&t),
+            len: t.num_objects(),
+            permanent: false,
+        };
+        let (stats, answers) = serve_round(
+            &mut source,
+            &cfg,
+            vec![
+                (
+                    "good",
+                    1,
+                    sets_question(&[&ids[0..10], &ids[10..20], &ids[20..30]]),
+                ),
+                ("bad", 2, sets_question(&[&ids[30..35], &bad, &ids[35..40]])),
+            ],
+        );
+        let mut answers = answers.into_iter().map(set_batch);
+        let good = answers.next().unwrap();
+        assert_eq!(good.into_result(), Ok(vec![true, false, false]));
+        let bad = answers.next().unwrap();
+        assert_eq!(bad.slots, vec![Some(false), None, None]);
+        assert!(bad.error.as_ref().is_some_and(AskError::is_transient));
+
+        assert_eq!(stats.rounds, 1);
+        assert_eq!(stats.max_round_questions, 6, "counted in sets");
+        assert_eq!(stats.set_batches, 0, "the coalesced call failed");
+        assert_eq!(stats.set_queries_served, 4);
+        // One redelivery of the coalesced call, one of the bad set.
+        assert_eq!((stats.retries, stats.retry_exhausted), (2, 1));
+        let rendered = telemetry.render_prometheus();
+        for line in [
+            "audit_retries_total{tenant=\"bad\"} 2",
+            "audit_retries_total{tenant=\"good\"} 1",
+        ] {
+            assert!(rendered.contains(line), "{line} missing from {rendered}");
+        }
+        // One dead letter is one breaker strike: the threshold-2 breaker
+        // stays closed.
+        assert!(cfg
+            .breakers
+            .states()
+            .iter()
+            .all(|(_, state)| *state == crate::breaker::BreakerState::Closed));
+    }
+
+    /// The served counters count delivered answers only: a set and a
+    /// membership question that fail for good are not served.
+    #[test]
+    fn failed_questions_are_not_counted_as_served() {
+        let t = truth(40, 10);
+        let ids = t.all_ids();
+        let female = Target::group(Pattern::parse("1").unwrap());
+        let mut source = Ranged {
+            inner: PerfectSource::new(&t),
+            len: t.num_objects(),
+            permanent: true,
+        };
+        let membership = |object: u32| Question::Membership {
+            object: ObjectId(object),
+            target: female.clone(),
+        };
+        let (stats, answers) = serve_round(
+            &mut source,
+            &fast_retry(3),
+            vec![
+                ("t", 1, sets_question(&[&ids[0..10], &[ObjectId(99)]])),
+                ("t", 1, membership(3)),
+                ("t", 1, membership(99)),
+                (
+                    "t",
+                    1,
+                    Question::Point {
+                        objects: vec![ids[0], ObjectId(99)],
+                    },
+                ),
+            ],
+        );
+        assert_eq!(
+            set_batch(answers.into_iter().next().unwrap()).delivered(),
+            1
+        );
+        assert_eq!(stats.set_queries_served, 1);
+        assert_eq!(stats.memberships_served, 1);
+        assert_eq!(stats.points_served, 0, "the one HIT failed whole");
+        assert_eq!(stats.retries, 0, "permanent failures are never retried");
     }
 
     /// Two requests in one round straddle HIT boundaries and share a HIT
@@ -1050,11 +1275,11 @@ mod tests {
         );
         let label = |i: usize| Some(t.labels_of(ids[i]));
         assert_eq!(
-            answers[0].labels,
+            answers[0].slots,
             vec![label(0), label(1), label(2), label(3), None, None]
         );
         assert_eq!(
-            answers[1].labels,
+            answers[1].slots,
             vec![None, None, label(8), label(9), label(10), label(11)]
         );
         for answer in &answers {
@@ -1074,7 +1299,7 @@ mod tests {
         // A lone request whose one 4-image HIT exhausts is one breaker
         // strike, not four: the threshold-2 breaker stays closed.
         let (stats, answers) = one_round(&mut source, &cfg, &[(3, ids[4..8].to_vec())]);
-        assert!(answers[0].labels.iter().all(Option::is_none));
+        assert!(answers[0].slots.iter().all(Option::is_none));
         assert_eq!(stats.retry_exhausted, 1);
         assert_eq!(
             cfg.breakers.states(),

@@ -28,11 +28,13 @@
 //!                                   └──▶ ship log  seq 1, 2, 3, …  (origin: this node)
 //!  POST /fleet/delta ──▶ absorb ───────▶ ship log                  (origin: the sender)
 //!
-//!  every anti_entropy_ms, for each peer:
-//!    POST /fleet/delta?incarnation=I&after=ack&upto=end
-//!         body: the log range (ack, end] minus the entries the peer itself sent
+//!  every anti_entropy_ms, or once SHIP_CHUNK entries were logged since the
+//!  last round began, for each peer, until ack reaches the round's end:
+//!    POST /fleet/delta?incarnation=I&after=ack&upto=min(end, ack + SHIP_CHUNK)
+//!         body: the log range (ack, upto] minus the entries the peer itself sent
 //!    ◀── {"ack": w, "node": name}    w: the peer's contiguous watermark for (sender, I)
-//!    ack := w, then drop every log entry all peers have acked
+//!    ack := w
+//!  then drop every log entry all peers have acked
 //! ```
 //!
 //! A joined node keeps a commit-ordered **ship log**: its store at
@@ -44,6 +46,12 @@
 //! number, and each round ships a
 //! peer only the range after that peer's ack, so a round costs
 //! O(delta), and the log holds only what some peer has not acknowledged.
+//! A round ships its range in chunks of at most `SHIP_CHUNK` (512) entries,
+//! one `POST` each: both sides build one chunk's JSON tree at a time. A
+//! round also starts early once a chunk's worth of entries was logged
+//! since the last one began, so the log does not pile up a whole cadence
+//! of facts when a job buys them fast. Neither the log nor a round's
+//! memory grows with how fast the node buys facts.
 //!
 //! The receiver keeps, per sender name, the sender's *incarnation* (fresh
 //! at every join) and a watermark: the highest sequence number up to which
@@ -83,9 +91,12 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+
+/// The most ship-log entries one `/fleet/delta` `POST` carries.
+const SHIP_CHUNK: u64 = 512;
 
 /// How long the router sleeps between `/stats` polls while draining.
 const DRAIN_POLL: Duration = Duration::from_millis(5);
@@ -290,6 +301,8 @@ struct ShipLog {
     /// Each entry with its origin: `None` for this node's own facts, the
     /// sender's name for an absorbed delta.
     entries: VecDeque<(Option<Arc<str>>, Shipment)>,
+    /// The log's end when the last anti-entropy round began.
+    round_began_at: u64,
 }
 
 impl ShipLog {
@@ -298,29 +311,32 @@ impl ShipLog {
         self.base + self.entries.len() as u64
     }
 
-    /// The entries after `after` that did not come from `peer`.
-    fn after<'a>(
+    /// The entries in `(after, upto]` that did not come from `peer`.
+    fn between<'a>(
         &'a self,
         after: u64,
+        upto: u64,
         peer: Option<&'a str>,
     ) -> impl Iterator<Item = &'a Shipment> + 'a {
         let skip = usize::try_from(after.saturating_sub(self.base)).unwrap_or(usize::MAX);
+        let take = usize::try_from(upto.saturating_sub(after.max(self.base))).unwrap_or(usize::MAX);
         self.entries
             .iter()
             .skip(skip)
+            .take(take)
             .filter(move |(origin, _)| origin.is_none() || origin.as_deref() != peer)
             .map(|(_, shipment)| shipment)
     }
 
-    /// The facts to ship a peer that acked `after` — `None` when part of
-    /// that range is already dropped, so only a whole-store ship can
-    /// repair the peer.
-    fn range(&self, after: u64, peer: Option<&str>) -> Option<KnowledgeStore> {
+    /// The facts in `(after, upto]` to ship a peer that acked `after` —
+    /// `None` when part of that range is already dropped, so only a
+    /// whole-store ship can repair the peer.
+    fn range(&self, after: u64, upto: u64, peer: Option<&str>) -> Option<KnowledgeStore> {
         if after < self.base {
             return None;
         }
         let mut store = KnowledgeStore::new();
-        for shipment in self.after(after, peer) {
+        for shipment in self.between(after, upto, peer) {
             match shipment {
                 Shipment::Fact(record) => record.apply(&mut store),
                 Shipment::Store(facts) => store.merge(facts),
@@ -332,7 +348,14 @@ impl ShipLog {
     /// Facts a peer that acked `after` still lacks — the
     /// `audit_fleet_unacked_facts{peer}` gauge.
     fn unacked(&self, after: u64, peer: Option<&str>) -> u64 {
-        self.after(after, peer).map(Shipment::facts).sum()
+        self.between(after, self.end(), peer)
+            .map(Shipment::facts)
+            .sum()
+    }
+
+    /// Entries logged since the last round began.
+    fn grown(&self) -> u64 {
+        self.end() - self.round_began_at
     }
 
     /// Drops every entry up to `seq`.
@@ -349,13 +372,35 @@ struct Joined {
     name: String,
     incarnation: u64,
     log: Mutex<ShipLog>,
+    /// Wakes the anti-entropy loop once a chunk's worth was logged.
+    grown: Condvar,
 }
 
 impl Joined {
     fn push(&self, origin: Option<&str>, shipment: Shipment) {
-        lock(&self.log)
-            .entries
-            .push_back((origin.map(Arc::from), shipment));
+        let mut log = lock(&self.log);
+        log.entries.push_back((origin.map(Arc::from), shipment));
+        if log.grown() == SHIP_CHUNK {
+            self.grown.notify_one();
+        }
+    }
+
+    /// Waits until the next round is due: after `cadence`, or sooner once
+    /// a chunk's worth was logged. Marks the round's start.
+    fn await_round(&self, cadence: Duration) {
+        let deadline = Instant::now() + cadence;
+        let mut log = lock(&self.log);
+        while log.grown() < SHIP_CHUNK {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                break;
+            };
+            log = self
+                .grown
+                .wait_timeout(log, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        log.round_began_at = log.end();
     }
 }
 
@@ -407,6 +452,7 @@ impl Exchange {
             // process at another count.
             incarnation: hash_one(nanos ^ JOINS.fetch_add(1, Ordering::Relaxed)),
             log: Mutex::new(ShipLog::default()),
+            grown: Condvar::new(),
         };
         assert!(
             self.joined.set(joined).is_ok(),
@@ -626,10 +672,10 @@ impl Link {
         }
     }
 
-    /// What to ship this round: `(after, upto, facts)`. An empty probe
-    /// until greeted; then the log after `ack`, or — when that prefix was
-    /// dropped — the whole store, read after `upto` so it holds every
-    /// fact logged up to it.
+    /// What to ship next: `(after, upto, facts)`. An empty probe until
+    /// greeted; then the next chunk of the log after `ack`, or — when that
+    /// prefix was dropped — the whole store, read after `upto` so it holds
+    /// every fact logged up to it.
     fn plan(
         &self,
         log: &Mutex<ShipLog>,
@@ -638,13 +684,15 @@ impl Link {
         if !self.greeted {
             return (self.ack, self.ack, KnowledgeStore::new());
         }
-        let (upto, range) = {
+        let (end, chunk) = {
             let log = lock(log);
-            (log.end(), log.range(self.ack, self.name.as_deref()))
+            let upto = log.end().min(self.ack.saturating_add(SHIP_CHUNK));
+            let chunk = log.range(self.ack, upto, self.name.as_deref());
+            (log.end(), chunk.map(|facts| (upto, facts)))
         };
-        match range {
-            Some(facts) => (self.ack, upto, facts),
-            None => (0, upto, export()),
+        match chunk {
+            Some((upto, facts)) => (self.ack, upto, facts),
+            None => (0, end, export()),
         }
     }
 
@@ -656,32 +704,38 @@ impl Link {
         self.greeted = true;
     }
 
-    /// One round toward this peer.
+    /// One round toward this peer: one chunk per `POST` until the peer
+    /// has acked everything logged when the round began, or takes no more.
     fn exchange<S: BatchAnswerSource + Send + 'static>(
         &mut self,
         daemon: &AuditDaemon<S>,
         joined: &Joined,
     ) -> io::Result<()> {
-        let (after, upto, store) = self.plan(&joined.log, || daemon.export_store());
-        let body = serde_json::to_string(&FleetDelta {
-            from: joined.name.clone(),
-            store,
-        })
-        .expect("a knowledge store always serializes");
-        let path = format!(
-            "/fleet/delta?incarnation={}&after={after}&upto={upto}",
-            joined.incarnation
-        );
-        let (code, reply) = http_request(self.addr, "POST", &path, Some(&body))?;
-        daemon
-            .telemetry()
-            .record_fleet_delta_bytes(&self.label, body.len() as u64);
-        if code != 200 {
-            return Err(io::Error::other(format!("peer answered {code}: {reply}")));
+        let end = lock(&joined.log).end();
+        loop {
+            let (after, upto, store) = self.plan(&joined.log, || daemon.export_store());
+            let body = serde_json::to_string(&FleetDelta {
+                from: joined.name.clone(),
+                store,
+            })
+            .expect("a knowledge store always serializes");
+            let path = format!(
+                "/fleet/delta?incarnation={}&after={after}&upto={upto}",
+                joined.incarnation
+            );
+            let (code, reply) = http_request(self.addr, "POST", &path, Some(&body))?;
+            daemon
+                .telemetry()
+                .record_fleet_delta_bytes(&self.label, body.len() as u64);
+            if code != 200 {
+                return Err(io::Error::other(format!("peer answered {code}: {reply}")));
+            }
+            let receipt = serde_json::from_str::<Receipt>(&reply).map_err(io::Error::other)?;
+            self.acknowledge(receipt, upto);
+            if upto == after || self.ack != upto || self.ack >= end {
+                return Ok(());
+            }
         }
-        let receipt = serde_json::from_str::<Receipt>(&reply).map_err(io::Error::other)?;
-        self.acknowledge(receipt, upto);
-        Ok(())
     }
 }
 
@@ -703,7 +757,7 @@ fn anti_entropy_loop<S: BatchAnswerSource + Send + 'static>(
         .expect("join arms the exchange before the loop starts");
     let mut links: Vec<Link> = peers.iter().copied().map(Link::new).collect();
     while !stop.load(Ordering::Acquire) {
-        std::thread::sleep(cadence);
+        joined.await_round(cadence);
         if stop.load(Ordering::Acquire) {
             break;
         }
@@ -1107,17 +1161,30 @@ mod tests {
             .push_back((Some(Arc::from("b")), Shipment::Store(labels(10..14))));
         log.entries.push_back((None, fact(20)));
         assert_eq!(log.end(), 3);
-        assert_eq!(log.range(0, Some("b")).unwrap().fact_count(), 4, "no echo");
-        assert_eq!(log.range(0, Some("c")).unwrap().fact_count(), 8, "a relay");
-        assert_eq!(log.range(2, Some("c")).unwrap().fact_count(), 1);
-        assert!(log.range(3, None).unwrap().is_empty());
+        assert_eq!(
+            log.range(0, 3, Some("b")).unwrap().fact_count(),
+            4,
+            "no echo"
+        );
+        assert_eq!(
+            log.range(0, 3, Some("c")).unwrap().fact_count(),
+            8,
+            "a relay"
+        );
+        assert_eq!(log.range(2, 3, Some("c")).unwrap().fact_count(), 1);
+        assert_eq!(
+            log.range(0, 1, Some("c")).unwrap().fact_count(),
+            3,
+            "a chunk"
+        );
+        assert!(log.range(3, 3, None).unwrap().is_empty());
         assert_eq!(log.unacked(1, Some("b")), 1);
         assert_eq!(log.unacked(1, Some("c")), 5);
         log.drop_through(2);
         assert_eq!((log.base, log.end()), (2, 3));
-        assert!(log.range(1, None).is_none(), "a dropped prefix");
+        assert!(log.range(1, 3, None).is_none(), "a dropped prefix");
         assert_eq!(
-            log.range(2, None).unwrap().label_of(ObjectId(20)),
+            log.range(2, 3, None).unwrap().label_of(ObjectId(20)),
             Some(Labels::single(0))
         );
     }
@@ -1195,5 +1262,58 @@ mod tests {
         );
         let (after, upto, facts) = link.plan(&log, whole);
         assert_eq!((after, upto, facts.fact_count()), (0, 5, 100));
+    }
+
+    /// A chunk's worth of new entries starts the next round before its
+    /// cadence is up; with nothing new, a round waits the cadence out.
+    #[test]
+    fn a_chunk_of_new_entries_starts_the_round_early() {
+        let joined = Joined {
+            name: "a".into(),
+            incarnation: 1,
+            log: Mutex::new(ShipLog::default()),
+            grown: Condvar::new(),
+        };
+        let started = Instant::now();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for raw in 0..SHIP_CHUNK as u32 {
+                    joined.push(None, fact(raw));
+                }
+            });
+            joined.await_round(Duration::from_secs(600));
+        });
+        assert!(started.elapsed() < Duration::from_secs(300));
+        assert_eq!(lock(&joined.log).round_began_at, SHIP_CHUNK);
+        let started = Instant::now();
+        joined.await_round(Duration::from_millis(20));
+        assert!(started.elapsed() >= Duration::from_millis(20));
+    }
+
+    /// A long log goes out one bounded chunk per `POST`, each starting at
+    /// the watermark the last one earned.
+    #[test]
+    fn the_sender_ships_a_long_log_in_chunks() {
+        let log = Mutex::new(ShipLog::default());
+        for raw in 0..SHIP_CHUNK as u32 + 3 {
+            lock(&log).entries.push_back((None, fact(raw)));
+        }
+        let mut link = Link::new("127.0.0.1:9".parse().unwrap());
+        link.greeted = true;
+        let (after, upto, facts) = link.plan(&log, KnowledgeStore::new);
+        assert_eq!((after, upto), (0, SHIP_CHUNK));
+        assert_eq!(facts.fact_count() as u64, SHIP_CHUNK);
+        link.acknowledge(
+            Receipt {
+                ack: upto,
+                node: Some("b".into()),
+            },
+            upto,
+        );
+        let (after, upto, facts) = link.plan(&log, KnowledgeStore::new);
+        assert_eq!(
+            (after, upto, facts.fact_count()),
+            (SHIP_CHUNK, SHIP_CHUNK + 3, 3)
+        );
     }
 }

@@ -10,11 +10,14 @@
 //! decides from facts never get here and are free; a job can only exhaust
 //! its budget with genuinely fresh crowd work.
 //!
-//! A batch the caps cannot afford in full is cut, not refused whole: the
-//! governor charges and forwards the longest prefix both caps admit, then
-//! refuses the rest with the [`BudgetSnapshot`] its first label would have
-//! met asked alone. Nothing unaffordable is sent, and the labels that were
-//! affordable are bought and kept.
+//! A set query arrives as a wave (a lone set is a wave of one), and point
+//! labels as a batch. A request the caps cannot afford in full is cut, not
+//! refused whole: the governor charges and forwards the longest prefix both
+//! caps admit, then refuses the rest with the [`BudgetSnapshot`] its first
+//! refused question would have met asked alone. Nothing unaffordable is
+//! sent, and the questions that were affordable are bought and kept. A
+//! wave holds only questions its job is certain to ask, so a cut wave buys
+//! nothing the one-at-a-time job would not have bought.
 //!
 //! Coverage algorithms ask questions through the fallible [`AnswerSource`]
 //! interface, so exhaustion is *data*, not control flow: `GovernedSource`
@@ -25,7 +28,7 @@
 //! [`Exhausted`](crate::job::JobStatus::Exhausted). Nothing panics and no
 //! unwinding crosses any layer.
 
-use coverage_core::engine::{AnswerSource, LabelBatch, ObjectId};
+use coverage_core::engine::{AnswerSource, Batch, LabelBatch, ObjectId, SetBatch};
 use coverage_core::error::{AskError, BudgetSnapshot};
 use coverage_core::ledger::batched_tasks;
 #[cfg(test)]
@@ -95,18 +98,38 @@ struct Spend {
     point_labels: u64,
 }
 
+/// The two kinds of crowd work a budget charges.
+#[derive(Debug, Clone, Copy)]
+enum Work {
+    /// Set queries: one task each.
+    Sets,
+    /// Point labels: `batch` of them share one task.
+    Points,
+}
+
 impl Spend {
     /// HIT-equivalents at the given point-batch size.
     fn tasks(&self, batch: usize) -> u64 {
         self.set_queries + batched_tasks(self.point_labels as usize, batch)
     }
 
-    /// How many more point labels fit under `cap`: `tasks` stays within
-    /// `cap` while the label total is at most `(cap − sets) · batch`.
-    fn points_affordable(&self, cap: u64, batch: usize) -> u64 {
-        cap.saturating_sub(self.set_queries)
-            .saturating_mul(batch as u64)
-            .saturating_sub(self.point_labels)
+    /// How many more questions of `work` fit under `cap`. A set adds one
+    /// task; labels fit while their total is at most `(cap − sets) · batch`.
+    fn affordable(&self, work: Work, cap: u64, batch: usize) -> u64 {
+        match work {
+            Work::Sets => cap.saturating_sub(self.tasks(batch)),
+            Work::Points => cap
+                .saturating_sub(self.set_queries)
+                .saturating_mul(batch as u64)
+                .saturating_sub(self.point_labels),
+        }
+    }
+
+    fn add(&mut self, work: Work, count: u64) {
+        match work {
+            Work::Sets => self.set_queries += count,
+            Work::Points => self.point_labels += count,
+        }
     }
 }
 
@@ -139,36 +162,17 @@ impl GlobalBudget {
         self.spend.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Charges one set query to the global ledger; `Err` carries the
-    /// shared-spend snapshot when the cap would be crossed.
-    fn charge_set(&self) -> Result<(), BudgetSnapshot> {
-        let mut spend = self.lock();
-        let mut next = *spend;
-        next.set_queries += 1;
-        if let Some(cap) = self.cap {
-            if next.tasks(self.batch) > cap {
-                return Err(BudgetSnapshot {
-                    spent: spend.tasks(self.batch),
-                    cap,
-                    shared: true,
-                });
-            }
-        }
-        *spend = next;
-        Ok(())
-    }
-
-    /// Charges the longest prefix of `wanted` point labels the cap admits.
-    /// When that is short of `wanted`, the snapshot is the one the first
-    /// refused label would have met asked alone.
-    fn admit_points(&self, wanted: u64) -> (u64, Option<BudgetSnapshot>) {
+    /// Charges the longest prefix of `wanted` questions of `work` the cap
+    /// admits. When that is short of `wanted`, the snapshot is the one the
+    /// first refused question would have met asked alone.
+    fn admit(&self, work: Work, wanted: u64) -> (u64, Option<BudgetSnapshot>) {
         let mut spend = self.lock();
         let Some(cap) = self.cap else {
-            spend.point_labels += wanted;
+            spend.add(work, wanted);
             return (wanted, None);
         };
-        let admitted = spend.points_affordable(cap, self.batch).min(wanted);
-        spend.point_labels += admitted;
+        let admitted = spend.affordable(work, cap, self.batch).min(wanted);
+        spend.add(work, admitted);
         let refusal = (admitted < wanted).then(|| BudgetSnapshot {
             spent: spend.tasks(self.batch),
             cap,
@@ -212,9 +216,7 @@ impl JobBudget {
     pub(crate) fn ledger(&self) -> TaskLedger {
         let spend = *self.lock();
         let mut ledger = TaskLedger::new();
-        for _ in 0..spend.set_queries {
-            ledger.record_set_query();
-        }
+        ledger.record_set_queries(spend.set_queries);
         ledger.record_point_work(
             spend.point_labels,
             batched_tasks(spend.point_labels as usize, self.global.batch),
@@ -222,47 +224,22 @@ impl JobBudget {
         ledger
     }
 
-    /// Charges one set query to this job (and the global ledger); `Err`
-    /// with [`AskError::BudgetExhausted`] when a cap would be crossed.
-    fn charge_set(&self) -> Result<(), AskError> {
-        // A rejected question must not count toward the job's spend on
-        // either refusal path, so the local commit happens only after both
-        // caps admit it. Lock order is job → global; nothing takes them in
-        // reverse, and the job lock is effectively uncontended (one thread
-        // runs a job).
-        let mut spend = self.lock();
-        let mut next = *spend;
-        next.set_queries += 1;
-        if let Some(cap) = self.cap {
-            if next.tasks(self.global.batch) > cap {
-                let snapshot = BudgetSnapshot {
-                    spent: spend.tasks(self.global.batch),
-                    cap,
-                    shared: false,
-                };
-                return Err(AskError::BudgetExhausted(snapshot));
-            }
-        }
-        self.global
-            .charge_set()
-            .map_err(AskError::BudgetExhausted)?;
-        *spend = next;
-        Ok(())
-    }
-
-    /// Charges the longest prefix of `wanted` point labels that both caps
-    /// admit, and returns its length. When that is short of `wanted`, the
-    /// `Err` is exactly what the first refused label would have met asked
-    /// on its own: the job cap is checked before the global one, and the
-    /// snapshot counts the admitted prefix as spent.
-    fn admit_points(&self, wanted: usize) -> (usize, Result<(), AskError>) {
+    /// Charges the longest prefix of `wanted` questions of `work` that both
+    /// caps admit, and returns its length. When that is short of `wanted`,
+    /// the `Err` is exactly what the first refused question would have met
+    /// asked on its own: the job cap is checked before the global one, and
+    /// the snapshot counts the admitted prefix as spent. A refused question
+    /// is charged on neither ledger.
+    fn admit(&self, work: Work, wanted: usize) -> (usize, Result<(), AskError>) {
         let wanted = wanted as u64;
+        // Lock order is job → global; nothing takes them in reverse, and
+        // the job lock is effectively uncontended (one thread runs a job).
         let mut spend = self.lock();
         let job_room = self.cap.map_or(wanted, |cap| {
-            spend.points_affordable(cap, self.global.batch).min(wanted)
+            spend.affordable(work, cap, self.global.batch).min(wanted)
         });
-        let (admitted, global_refusal) = self.global.admit_points(job_room);
-        spend.point_labels += admitted;
+        let (admitted, global_refusal) = self.global.admit(work, job_room);
+        spend.add(work, admitted);
         // Short of `wanted` without a global refusal means the job cap bit.
         let refusal = match global_refusal {
             _ if admitted == wanted => None,
@@ -277,6 +254,31 @@ impl JobBudget {
             admitted as usize,
             refusal.map_or(Ok(()), |snapshot| Err(AskError::BudgetExhausted(snapshot))),
         )
+    }
+
+    /// Admits what it can of a `len`-question request, forwards the
+    /// admitted prefix with `forward`, and refuses the rest. Questions past
+    /// the prefix are never sent. An error from the forwarded prefix comes
+    /// first: asked one at a time, the job would have stopped there before
+    /// reaching the cap.
+    fn forward_prefix<T>(
+        &self,
+        work: Work,
+        len: usize,
+        forward: impl FnOnce(usize) -> Batch<T>,
+    ) -> Batch<T> {
+        let (admitted, refusal) = self.admit(work, len);
+        let mut batch = if admitted == 0 {
+            Batch {
+                slots: Vec::new(),
+                error: None,
+            }
+        } else {
+            forward(admitted)
+        };
+        batch.slots.resize_with(len, || None);
+        batch.error = batch.error.or(refusal.err());
+        batch
     }
 }
 
@@ -297,8 +299,9 @@ impl<S> GovernedSource<S> {
 
 impl<S: AnswerSource> AnswerSource for GovernedSource<S> {
     fn try_answer_set(&mut self, objects: &[ObjectId], target: &Target) -> Result<bool, AskError> {
-        self.budget.charge_set()?;
-        self.inner.try_answer_set(objects, target)
+        self.try_answer_sets_many(&[objects], target)
+            .into_result()
+            .map(|answers| answers[0])
     }
 
     fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
@@ -312,29 +315,30 @@ impl<S: AnswerSource> AnswerSource for GovernedSource<S> {
         object: ObjectId,
         target: &Target,
     ) -> Result<bool, AskError> {
-        self.budget.admit_points(1).1?;
+        self.budget.admit(Work::Points, 1).1?;
         self.inner.try_answer_membership(object, target)
     }
 
-    /// Charges and forwards the longest affordable prefix as one request,
-    /// then refuses the rest with the snapshot the per-object path would
-    /// have reported. Labels past the prefix are never sent. An error from
-    /// the forwarded prefix comes first: asked one at a time, the job
-    /// would have stopped there before reaching the cap.
+    /// Charges and forwards the longest affordable prefix of the wave as
+    /// one request, then refuses the rest with the snapshot the first
+    /// refused set would have met asked alone.
+    fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+        let inner = &mut self.inner;
+        self.budget
+            .forward_prefix(Work::Sets, sets.len(), |admitted| {
+                inner.try_answer_sets_many(&sets[..admitted], target)
+            })
+    }
+
+    /// Charges and forwards the longest affordable prefix of the batch as
+    /// one request, then refuses the rest with the snapshot the per-object
+    /// path would have reported.
     fn try_answer_point_labels_many(&mut self, objects: &[ObjectId]) -> LabelBatch {
-        let (admitted, refusal) = self.budget.admit_points(objects.len());
-        let mut batch = if admitted == 0 {
-            LabelBatch {
-                labels: Vec::new(),
-                error: None,
-            }
-        } else {
-            self.inner
-                .try_answer_point_labels_many(&objects[..admitted])
-        };
-        batch.labels.resize(objects.len(), None);
-        batch.error = batch.error.or(refusal.err());
-        batch
+        let inner = &mut self.inner;
+        self.budget
+            .forward_prefix(Work::Points, objects.len(), |admitted| {
+                inner.try_answer_point_labels_many(&objects[..admitted])
+            })
     }
 }
 
@@ -437,7 +441,7 @@ mod tests {
                 }
                 let (delivered, error) = if batched {
                     let batch = src.try_answer_point_labels_many(&ids[..wanted]);
-                    assert_eq!(batch.labels.len(), wanted);
+                    assert_eq!(batch.slots.len(), wanted);
                     (batch.answered_prefix(), batch.error)
                 } else {
                     let mut delivered = 0;
@@ -461,6 +465,61 @@ mod tests {
                 run(true),
                 run(false),
                 "caps {job_cap:?}/{global_cap:?}, {sets} set(s), {wanted} label(s)"
+            );
+        }
+    }
+
+    /// A set wave admits the longest prefix both caps allow, forwards only
+    /// that prefix, and refuses the rest with the snapshot (and the spend)
+    /// that asking its sets one at a time would have produced.
+    #[test]
+    fn set_wave_admits_the_prefix_single_asks_would() {
+        let t = truth(200, 20);
+        let ids = t.all_ids();
+        let sets: Vec<&[ObjectId]> = ids.chunks(5).collect();
+        // (job cap, global cap, labels bought first, sets asked)
+        let cases = [
+            (Some(6), None, 0, 10),     // the job cap bites at 6 sets
+            (Some(9), Some(5), 60, 10), // the global cap bites first, at 3
+            (Some(4), Some(4), 50, 10), // both bite at 3; the job cap is checked first
+            (None, Some(40), 0, 12),    // room for the whole wave
+            (Some(1), None, 1, 3),      // no room at all
+        ];
+        for (job_cap, global_cap, labels, wanted) in cases {
+            let run = |wave: bool| {
+                let global = GlobalBudget::new(global_cap, 50);
+                let budget = JobBudget::new(job_cap, Arc::clone(&global));
+                let mut src = GovernedSource::new(
+                    MemoizedSource::new(PerfectSource::new(&t)),
+                    budget.clone(),
+                );
+                src.try_answer_point_labels_many(&ids[..labels]);
+                let (delivered, error) = if wave {
+                    let batch = src.try_answer_sets_many(&sets[..wanted], &female());
+                    assert_eq!(batch.slots.len(), wanted);
+                    (batch.answered_prefix(), batch.error)
+                } else {
+                    let mut delivered = 0;
+                    let mut error = None;
+                    for objects in &sets[..wanted] {
+                        match src.try_answer_set(objects, &female()) {
+                            Ok(_) => delivered += 1,
+                            Err(e) => {
+                                error = Some(e);
+                                break;
+                            }
+                        }
+                    }
+                    (delivered, error)
+                };
+                let forwarded = src.inner.cache_misses() - labels as u64;
+                assert_eq!(forwarded, delivered as u64, "only the prefix is sent");
+                (delivered, error, budget.tasks_spent(), global.tasks_spent())
+            };
+            assert_eq!(
+                run(true),
+                run(false),
+                "caps {job_cap:?}/{global_cap:?}, {labels} label(s), {wanted} set(s)"
             );
         }
     }
