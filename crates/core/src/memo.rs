@@ -10,8 +10,8 @@
 //!   membership verdicts (learned from *no* set answers and *yes*
 //!   singletons), and whole set-query verdicts. Facts only accumulate; the
 //!   store never forgets.
-//! * [`KnowledgeSource`] / [`SharedKnowledgeSource`] — [`AnswerSource`]
-//!   wrappers that consult the store before every question. A set query is
+//! * [`SharedKnowledgeSource`] — the [`AnswerSource`] wrapper that
+//!   consults the store before every question. A set query is
 //!   **decomposed**: any known member answers it `true` outright; if every
 //!   object is a known non-member it is `false`; otherwise the query is
 //!   **narrowed** to the residual unknown objects and only that residual is
@@ -125,9 +125,9 @@ pub enum SetResolution {
 /// * **set verdicts** — whole `(objects, target) → bool` answers, kept so a
 ///   repeated query is free even when its objects are individually unknown.
 ///
-/// The store is plain data (no interior mutability); see [`KnowledgeSource`]
-/// for the single-owner wrapper and [`SharedKnowledgeSource`] for the
-/// platform-wide, thread-safe one.
+/// The store is plain data (no interior mutability); see
+/// [`SharedKnowledgeSource`] for the thread-safe wrapper that consults it
+/// (one shard serves a single owner).
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct KnowledgeStore {
     labels: HashMap<ObjectId, Labels>,
@@ -473,140 +473,11 @@ struct SpillHook {
     per_shard_high: usize,
 }
 
-/// A single-owner reuse wrapper: one engine, one store, no locking.
-///
-/// Consults a private [`KnowledgeStore`] before every question and absorbs
-/// every delivered answer. For a consistent source (see the module docs)
-/// the wrapped and unwrapped runs return identical answers; the wrapper only
-/// reduces how many questions reach the source.
-#[derive(Debug, Clone)]
-pub struct KnowledgeSource<S> {
-    inner: S,
-    store: KnowledgeStore,
-}
-
-impl<S> KnowledgeSource<S> {
-    /// Wraps a source with an empty fact base.
-    pub fn new(inner: S) -> Self {
-        Self {
-            inner,
-            store: KnowledgeStore::new(),
-        }
-    }
-
-    /// Wraps a source with an existing fact base (e.g. carried over from a
-    /// previous audit of the same dataset).
-    pub fn with_store(inner: S, store: KnowledgeStore) -> Self {
-        Self { inner, store }
-    }
-
-    /// Read access to the fact base.
-    pub fn store(&self) -> &KnowledgeStore {
-        &self.store
-    }
-
-    /// How questions were disposed of so far.
-    pub fn reuse_stats(&self) -> ReuseStats {
-        self.store.stats
-    }
-
-    /// The wrapped source.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Unwraps into the inner source, discarding the facts.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: AnswerSource> AnswerSource for KnowledgeSource<S> {
-    fn try_answer_set(&mut self, objects: &[ObjectId], target: &Target) -> Result<bool, AskError> {
-        match self.store.resolve_set(objects, target) {
-            SetResolution::Known(ans) => {
-                self.store.stats.hits += 1;
-                Ok(ans)
-            }
-            SetResolution::Ask { residual, pruned } => {
-                // Only delivered answers are recorded: a refused question
-                // stays askable (e.g. once a budget is raised).
-                let ans = self.inner.try_answer_set(&residual, target)?;
-                self.store.stats.forwarded += 1;
-                if pruned > 0 {
-                    self.store.stats.narrowed += 1;
-                    self.store.stats.objects_pruned += pruned as u64;
-                }
-                self.store
-                    .record_set_answer(objects, &residual, target, ans);
-                Ok(ans)
-            }
-        }
-    }
-
-    fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
-        self.try_answer_point_labels_many(&[object])
-            .into_result()
-            .map(|labels| labels[0])
-    }
-
-    fn try_answer_membership(
-        &mut self,
-        object: ObjectId,
-        target: &Target,
-    ) -> Result<bool, AskError> {
-        // Route through the label facts: a known label answers any
-        // membership question about the object for free, and a fresh label
-        // bought here narrows every future set query.
-        let labels = self.try_answer_point_labels(object)?;
-        Ok(target.matches(&labels))
-    }
-
-    /// Serves known labels from the store and forwards the unknown ones
-    /// (each once, duplicates filled from the first copy) as one request.
-    /// Every label the inner source delivered is recorded, even when the
-    /// rest of the request failed.
-    fn try_answer_point_labels_many(&mut self, objects: &[ObjectId]) -> LabelBatch {
-        let mut labels: Vec<Option<Labels>> =
-            objects.iter().map(|o| self.store.label_of(*o)).collect();
-        let mut unknown: Vec<ObjectId> = Vec::new();
-        for (o, l) in objects.iter().zip(&labels) {
-            if l.is_some() {
-                self.store.stats.hits += 1;
-            } else if !unknown.contains(o) {
-                unknown.push(*o);
-            }
-        }
-        let mut error = None;
-        if !unknown.is_empty() {
-            let fresh = self.inner.try_answer_point_labels_many(&unknown);
-            for (o, l) in unknown.iter().zip(fresh.slots) {
-                if let Some(l) = l {
-                    self.store.stats.forwarded += 1;
-                    self.store.record_labels(*o, l);
-                }
-            }
-            for (slot, o) in labels.iter_mut().zip(objects) {
-                if slot.is_none() {
-                    *slot = self.store.label_of(*o);
-                }
-            }
-            error = fresh.error;
-        }
-        LabelBatch {
-            slots: labels,
-            error,
-        }
-    }
-}
-
-impl<S: AnswerSource> BatchAnswerSource for KnowledgeSource<S> {}
-
 /// A caching wrapper around an answer source — the **exact-match baseline**.
 ///
 /// Caches set-query and point-query results keyed by the literal question
 /// `(objects, target)` and answers repeats from the cache; it never
-/// decomposes or narrows a query. [`KnowledgeSource`] strictly subsumes it;
+/// decomposes or narrows a query. [`SharedKnowledgeSource`] strictly subsumes it;
 /// this type is kept as the reference the knowledge layer is verified
 /// against (reuse must change crowd spend, never verdicts) and as the
 /// simplest possible answer cache for single-audit runs.
@@ -1470,7 +1341,9 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
         object: ObjectId,
         target: &Target,
     ) -> Result<bool, AskError> {
-        // Route through the label facts, as in [`KnowledgeSource`].
+        // Route through the label facts: a known label answers any
+        // membership question about the object for free, and a fresh label
+        // bought here narrows every future set query.
         let labels = self.try_answer_point_labels(object)?;
         Ok(target.matches(&labels))
     }
@@ -1701,7 +1574,7 @@ mod tests {
         let t = truth(20, 3); // members: 0, 1, 2
         let female = Target::group(Pattern::parse("1").unwrap());
         let ids = t.all_ids();
-        let mut src = KnowledgeSource::new(SpySource::new(&t));
+        let mut src = SharedKnowledgeSource::with_shards(SpySource::new(&t), 1);
 
         // Learn two labels via point queries: one member, one non-member.
         assert!(src.try_answer_membership(ObjectId(0), &female).unwrap());
@@ -1731,7 +1604,7 @@ mod tests {
         let t = truth(20, 3);
         let female = Target::group(Pattern::parse("1").unwrap());
         let ids = t.all_ids();
-        let mut src = KnowledgeSource::new(SpySource::new(&t));
+        let mut src = SharedKnowledgeSource::with_shards(SpySource::new(&t), 1);
 
         assert!(!src.try_answer_set(&ids[10..20], &female).unwrap());
         assert_eq!(src.inner().asked_sets.len(), 1);
@@ -1748,7 +1621,7 @@ mod tests {
             vec![ObjectId(8), ObjectId(9)],
             "known non-members 10, 11 must be pruned"
         );
-        assert_eq!(src.store().membership_facts(), 12);
+        assert_eq!(src.store_snapshot().membership_facts(), 12);
     }
 
     /// A `true` answer on a singleton set is a membership fact.
@@ -1756,13 +1629,13 @@ mod tests {
     fn positive_singleton_becomes_member_fact() {
         let t = truth(10, 2);
         let female = Target::group(Pattern::parse("1").unwrap());
-        let mut src = KnowledgeSource::new(SpySource::new(&t));
+        let mut src = SharedKnowledgeSource::with_shards(SpySource::new(&t), 1);
         assert!(src.try_answer_set(&[ObjectId(1)], &female).unwrap());
         // Every future set containing object 1 is free.
         let ids = t.all_ids();
         assert!(src.try_answer_set(&ids, &female).unwrap());
         assert_eq!(src.inner().asked_sets.len(), 1);
-        assert!(src.store().is_known_member(ObjectId(1), &female));
+        assert!(src.store_snapshot().is_known_member(ObjectId(1), &female));
     }
 
     /// Facts are per-target: knowledge about `female` must not leak into
@@ -1774,7 +1647,7 @@ mod tests {
         let female = Target::group(Pattern::parse("1").unwrap());
         let male = female.negated();
         let ids = t.all_ids();
-        let mut src = KnowledgeSource::new(SpySource::new(&t));
+        let mut src = SharedKnowledgeSource::with_shards(SpySource::new(&t), 1);
         // "no females in 5..10" says nothing about males there.
         assert!(!src.try_answer_set(&ids[5..], &female).unwrap());
         assert!(src.try_answer_set(&ids[5..], &male).unwrap());
@@ -1789,7 +1662,10 @@ mod tests {
         let pool = t.all_ids();
         let mut raw = Engine::with_point_batch(PerfectSource::new(&t), 50);
         let mut memo = Engine::with_point_batch(MemoizedSource::new(PerfectSource::new(&t)), 50);
-        let mut know = Engine::with_point_batch(KnowledgeSource::new(PerfectSource::new(&t)), 50);
+        let mut know = Engine::with_point_batch(
+            SharedKnowledgeSource::with_shards(PerfectSource::new(&t), 1),
+            50,
+        );
         let a = group_coverage(&mut raw, &pool, &target, 50, 50, &DncConfig::default()).unwrap();
         let b = group_coverage(&mut memo, &pool, &target, 50, 50, &DncConfig::default()).unwrap();
         let c = group_coverage(&mut know, &pool, &target, 50, 50, &DncConfig::default()).unwrap();
@@ -2295,13 +2171,13 @@ mod tests {
         let t = truth(40, 8);
         let female = Target::group(Pattern::parse("1").unwrap());
         let ids = t.all_ids();
-        let mut src = KnowledgeSource::new(PerfectSource::new(&t));
+        let mut src = SharedKnowledgeSource::with_shards(PerfectSource::new(&t), 1);
         src.try_answer_point_labels(ObjectId(0)).unwrap();
         src.try_answer_point_labels(ObjectId(20)).unwrap();
         src.try_answer_set(&[ObjectId(3)], &female).unwrap();
         src.try_answer_set(&ids[10..30], &female).unwrap();
         src.try_answer_set(&ids[30..], &female.negated()).unwrap();
-        let store = src.store().clone();
+        let store = src.store_snapshot();
         assert!(!store.is_empty());
         let json = serde_json::to_string(&store).unwrap();
         let back: KnowledgeStore = serde_json::from_str(&json).unwrap();
@@ -2437,14 +2313,14 @@ mod tests {
         let t = truth(30, 6);
         let female = Target::group(Pattern::parse("1").unwrap());
         let ids = t.all_ids();
-        let mut donor = KnowledgeSource::new(PerfectSource::new(&t));
+        let mut donor = SharedKnowledgeSource::with_shards(PerfectSource::new(&t), 1);
         for id in &ids {
             donor.try_answer_point_labels(*id).unwrap();
         }
         let root = SharedKnowledgeSource::new(PerfectSource::new(&t));
         let sink = Arc::new(ReplaySink::default());
         root.set_fact_sink(Arc::clone(&sink) as Arc<dyn FactSink>);
-        root.seed_store(donor.store());
+        root.seed_store(&donor.store_snapshot());
         assert!(sink.replayed.lock().unwrap().is_empty());
         let mut handle = root.clone();
         for chunk in ids.chunks(11) {
@@ -2585,10 +2461,10 @@ mod tests {
         let t = truth(12, 2);
         let female = Target::group(Pattern::parse("1").unwrap());
         let ids = t.all_ids();
-        let mut src = KnowledgeSource::new(PerfectSource::new(&t));
+        let mut src = SharedKnowledgeSource::with_shards(PerfectSource::new(&t), 1);
         src.try_answer_point_labels(ObjectId(0)).unwrap();
         src.try_answer_set(&ids[6..], &female).unwrap();
-        let store = src.store();
+        let store = src.store_snapshot();
         assert_eq!(store.labels_known(), 1);
         assert_eq!(store.membership_facts(), 6);
         assert_eq!(store.set_verdicts_known(), 1);

@@ -14,6 +14,7 @@
 //! Everything here is zero-dependency and off by default
 //! ([`FaultPlan::off`], the `Default`).
 
+use crate::fingerprint::{fnv1a, membership_key, point_key, set_key};
 use coverage_core::engine::{AnswerSource, BatchAnswerSource, ObjectId};
 use coverage_core::error::AskError;
 use coverage_core::schema::Labels;
@@ -389,42 +390,6 @@ impl<S: BatchAnswerSource> BatchAnswerSource for FaultInjector<S> {
         )?;
         self.inner.try_answer_sets_batch(queries)
     }
-}
-
-// Content fingerprints: FNV-1a over a question-shape tag plus the
-// question's objects and target rendering. Stable across runs, identical
-// for identical questions, independent of when or in which batch the
-// question arrives.
-
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn set_key(objects: &[ObjectId], target: &Target) -> u64 {
-    fnv1a(
-        [0x53]
-            .into_iter()
-            .chain(objects.iter().flat_map(|o| o.0.to_le_bytes()))
-            .chain(target.to_string().into_bytes()),
-    )
-}
-
-fn point_key(object: ObjectId) -> u64 {
-    fnv1a([0x50].into_iter().chain(object.0.to_le_bytes()))
-}
-
-fn membership_key(object: ObjectId, target: &Target) -> u64 {
-    fnv1a(
-        [0x4d]
-            .into_iter()
-            .chain(object.0.to_le_bytes())
-            .chain(target.to_string().into_bytes()),
-    )
 }
 
 #[cfg(test)]

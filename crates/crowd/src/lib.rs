@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod faults;
+mod fingerprint;
 pub mod latency;
 pub mod platform;
 pub mod pool;

@@ -1,13 +1,11 @@
-//! The long-lived audit daemon: submit any time, query live, drain, stop.
+//! The audit job pool: submit any time, query live, drain, stop.
 //!
-//! [`AuditService::run`](crate::AuditService::run) is a *scoped batch*: it
-//! consumes the service, runs everything queued, and returns. The paper,
-//! though, frames coverage auditing as a standing service a dataset owner
-//! consults on demand — which is what an [`AuditDaemon`] is. It owns the
-//! worker pool, the batching dispatcher and the sharded platform-wide
-//! [`SharedKnowledgeSource`] for its **whole lifetime**, so facts bought
-//! by a job today keep
-//! shrinking the queries of every job submitted tomorrow:
+//! The paper frames coverage auditing as a standing service a dataset
+//! owner consults on demand — which is what an [`AuditDaemon`] is. It owns
+//! the job table, the priority queue, the worker pool, the batching
+//! dispatcher and the sharded platform-wide [`SharedKnowledgeSource`] for
+//! its **whole lifetime**, so facts bought by a job today keep shrinking
+//! the queries of every job submitted tomorrow:
 //!
 //! ```text
 //!             submit(JobSpec) ──▶ PriorityQueue ──▶ worker 1..W ─┐
@@ -17,14 +15,19 @@
 //!                       SharedKnowledgeSource ─ GovernedSource ─ dispatcher ─ platform
 //! ```
 //!
-//! Scheduling is the same priority queue the scoped pool uses
-//! ([`crate::scheduler`]): free workers pick the highest
-//! [`JobSpec::priority`] (service default for unset specs), ties go to the
-//! earlier submission, and queued jobs age upward so newcomers can delay
-//! but never starve them. Because the daemon reuses the scoped path's
-//! `run_job` verbatim, a report produced here is **byte-identical** (up to
-//! wall-clock) to the same spec run through `AuditService::run` —
-//! the `daemon_service` integration tests pin exactly that.
+//! This is the only job pool in the crate. The scoped front door,
+//! [`AuditService::run`](crate::AuditService::run), starts one inside a
+//! thread scope, queues its whole batch, stops intake and returns the
+//! pool's own [`ServiceReport`]. Only the dispatcher — the one thread that
+//! owns the answer source — runs on the scope, so a borrowed source works
+//! there. That is why a report produced here is **byte-identical** (up to
+//! wall-clock) to the same spec run through `AuditService::run`; the
+//! `daemon_service` integration tests pin it.
+//!
+//! Free workers pick the highest [`JobSpec::priority`] (service default
+//! for unset specs), ties go to the earlier submission, and queued jobs
+//! age upward so newcomers can delay but never starve them (see
+//! [`crate::scheduler`]).
 //!
 //! Lifecycle verbs: [`AuditDaemon::cancel`] flips one job's
 //! [`CancelToken`] (a queued job reports `Cancelled` without running, a
@@ -72,23 +75,34 @@
 //! assert_eq!(summary.jobs.len(), 2);
 //! ```
 
-use crate::dispatch::{dispatch_channel, run_dispatcher, DispatchHandle, DispatcherConfig};
+use crate::breaker::BreakerRegistry;
+use crate::dispatch::{
+    dispatch_channel, run_dispatcher, DispatchHandle, DispatchStats, DispatcherConfig, RetryPolicy,
+};
 use crate::fleet::Exchange;
-use crate::governor::{GlobalBudget, JobBudget};
-use crate::job::{JobId, JobReport, JobSpec, JobStatus};
+use crate::governor::{BudgetScope, GlobalBudget, GovernedSource, JobBudget};
+use crate::job::{AuditKind, AuditOutcome, JobId, JobReport, JobSpec, JobStatus, PhaseDurations};
 use crate::persist::{Persistence, SpillFile};
 use crate::scheduler::PriorityQueue;
-use crate::service::{lock, run_job, ServiceConfig, ServiceReport, TenantRateLimit};
+use crate::service::{lock, ServiceConfig, ServiceReport, TenantRateLimit};
 use crate::telemetry::{tenant_of, Telemetry};
-use coverage_core::engine::{BatchAnswerSource, CancelToken};
+use coverage_core::base_coverage::base_coverage;
+use coverage_core::classifier::{classifier_coverage, ClassifierConfig};
+use coverage_core::engine::{BatchAnswerSource, CancelToken, Engine, ForkableSource};
+use coverage_core::error::{AskError, Interrupted};
+use coverage_core::group_coverage::{group_coverage, DncConfig};
+use coverage_core::intersectional::intersectional_coverage_par;
 use coverage_core::ledger::TaskLedger;
 use coverage_core::memo::{FactSink, FactSpill, KnowledgeStore, ReuseStats, SharedKnowledgeSource};
+use coverage_core::multiple::{multiple_coverage_par, IntraJobParallelism, MultipleConfig};
 use coverage_core::prelude::{Labels, ObjectId, Target};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Why the daemon's submit door refused a spec. The HTTP front-end maps
 /// each variant to its status line: `Invalid` → 400, `ShuttingDown` → 503,
@@ -340,7 +354,11 @@ pub struct AuditDaemon<S> {
     /// dispatcher (whose other handles die with the workers) can exit.
     dispatch: Mutex<Option<DispatchHandle>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    dispatcher: Mutex<Option<JoinHandle<(crate::dispatch::DispatchStats, S)>>>,
+    /// The dispatcher thread, which owns the answer source. `None` after
+    /// shutdown, and always for the pool of a scoped
+    /// [`AuditService::run`](crate::AuditService::run), whose dispatcher
+    /// runs on the run's thread scope.
+    dispatcher: Mutex<Option<JoinHandle<(DispatchStats, S)>>>,
     started: Instant,
     telemetry: Telemetry,
     /// The durable knowledge plane, when [`ServiceConfig::data_dir`] is
@@ -352,7 +370,7 @@ pub struct AuditDaemon<S> {
     rate_gate: Option<RateGate>,
     /// Per-tenant circuit breakers, shared with the dispatcher — the
     /// daemon reads states for [`AuditDaemon::readiness`] and `/readyz`.
-    breakers: crate::breaker::BreakerRegistry,
+    breakers: BreakerRegistry,
     /// Last-observed state of each fleet peer (`true` = up), written by
     /// the anti-entropy loop ([`crate::fleet`]), read by
     /// [`AuditDaemon::readiness`] and `/readyz`. `BTreeMap` so the
@@ -397,7 +415,7 @@ impl FactSink for CommitTee {
     }
 }
 
-impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
+impl<S: BatchAnswerSource + Send> AuditDaemon<S> {
     /// Starts the daemon: spawns the dispatcher (which takes ownership of
     /// `source`) and `config.workers` worker threads, all idle until the
     /// first [`AuditDaemon::submit`].
@@ -406,7 +424,24 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// Panics on non-positive `config` counts (workers, point batch, store
     /// shards, intra-job parallelism) — daemon configuration is operator
     /// input, not tenant input.
-    pub fn start(config: ServiceConfig, source: S) -> Self {
+    pub fn start(config: ServiceConfig, source: S) -> Self
+    where
+        S: 'static,
+    {
+        let (mut daemon, dispatcher) = Self::launch(config, source);
+        daemon.dispatcher = Mutex::new(Some(std::thread::spawn(dispatcher)));
+        daemon
+    }
+
+    /// Builds the pool and spawns its workers, but hands the dispatcher —
+    /// the one thread that owns `source` — back for the caller to spawn:
+    /// [`AuditDaemon::start`] gives it a thread of its own,
+    /// [`AuditService::run`](crate::AuditService::run) a thread of its
+    /// scope, so a borrowed source works there.
+    pub(crate) fn launch(
+        config: ServiceConfig,
+        source: S,
+    ) -> (Self, impl FnOnce() -> (DispatchStats, S) + Send) {
         config.assert_valid();
 
         let shared = Arc::new(Shared {
@@ -419,17 +454,28 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
             }),
             wakeup: Condvar::new(),
         });
-        let telemetry = config.build_telemetry();
+        let telemetry = if config.telemetry {
+            Telemetry::new(config.trace_capacity)
+        } else {
+            Telemetry::disabled()
+        };
         let (dispatch_handle, dispatch_rx) = dispatch_channel();
         // The daemon keeps its own clone of the breaker registry: the
         // dispatcher records outcomes on it, `readiness()` and the
         // `/readyz` body read tenant states from it.
-        let breakers = config.build_breakers();
+        let breakers = BreakerRegistry::new(config.breaker_threshold, Duration::from_millis(500));
         let dispatcher_config = DispatcherConfig {
             point_batch: config.point_batch,
             round_latency: config.round_latency,
             telemetry: telemetry.clone(),
-            retry: config.retry_policy(),
+            // The jitter seed stays fixed: retries must be reproducible
+            // across runs, not tunable.
+            retry: RetryPolicy {
+                max_attempts: config.retry_max_attempts,
+                base: Duration::from_millis(config.retry_base_ms),
+                hit_deadline: Duration::from_millis(config.hit_deadline_ms),
+                ..RetryPolicy::default()
+            },
             breakers: breakers.clone(),
         };
         let global_budget = GlobalBudget::new(config.budget.global, config.point_batch);
@@ -463,11 +509,11 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
             exchange: Arc::clone(&exchange),
         }));
 
-        let dispatcher = std::thread::spawn(move || {
+        let dispatcher = move || {
             let mut source = source;
             let stats = run_dispatcher(&mut source, dispatch_rx, &dispatcher_config);
             (stats, source)
-        });
+        };
         let workers = (0..config.workers)
             .map(|_| {
                 let context = WorkerContext {
@@ -485,14 +531,14 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
             .collect();
 
         let rate_gate = config.tenant_rate_limit.clone().map(RateGate::new);
-        Self {
+        let daemon = Self {
             shared,
             config,
             memo_root,
             global_budget,
             dispatch: Mutex::new(Some(dispatch_handle)),
             workers: Mutex::new(workers),
-            dispatcher: Mutex::new(Some(dispatcher)),
+            dispatcher: Mutex::new(None),
             started: Instant::now(),
             telemetry,
             persist,
@@ -500,7 +546,8 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
             breakers,
             peer_states: Mutex::new(std::collections::BTreeMap::new()),
             exchange,
-        }
+        };
+        (daemon, dispatcher)
     }
 
     /// The daemon's configuration — the HTTP front-end reads its
@@ -548,16 +595,15 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// A token is only spent on an *admitted* submission.
     pub fn try_submit(&self, spec: JobSpec) -> Result<JobId, SubmitRefusal> {
         spec.validate().map_err(SubmitRefusal::Invalid)?;
-        let priority = spec.priority.unwrap_or(self.config.default_priority);
-        let tenant = tenant_of(&spec.name).to_string();
         let id = {
             let mut state = self.shared.lock();
             if !state.accepting {
                 return Err(SubmitRefusal::ShuttingDown);
             }
             if let Some(gate) = &self.rate_gate {
+                let tenant = tenant_of(&spec.name);
                 if let Some(max_queued) = gate.limit.max_queued {
-                    if state.queue.tenant_queued(&tenant) >= max_queued {
+                    if state.queue.tenant_queued(tenant) >= max_queued {
                         // Quota, not rate: the earliest useful retry is
                         // after a queued job drains — advertise 1s.
                         return Err(SubmitRefusal::RateLimited {
@@ -565,30 +611,53 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
                         });
                     }
                 }
-                gate.admit(&tenant)
+                gate.admit(tenant)
                     .map_err(|retry_after_secs| SubmitRefusal::RateLimited { retry_after_secs })?;
             }
-            let id = JobId(state.jobs.len() as u64);
-            state.queue.push_tenant(id.0 as usize, priority, &tenant);
-            let algorithm = spec.kind.name();
-            self.telemetry.job_submitted();
-            self.telemetry.job_queued_delta(1);
-            self.telemetry.trace(Some(id.0), "submit", || {
-                format!("{} ({algorithm}) queued at priority {priority}", spec.name)
-            });
-            state.jobs.push(JobSlot {
-                name: spec.name.clone(),
-                algorithm,
-                spec: Some(Arc::new(spec)),
-                status: JobStatus::Queued,
-                report: None,
-                cancel: CancelToken::new(),
-                submitted_at: Instant::now(),
-            });
-            id
+            self.queue(&mut state, spec, CancelToken::new())
         };
         self.shared.wakeup.notify_all();
         Ok(id)
+    }
+
+    /// Queues a scoped batch: every job goes in under one lock, so no
+    /// worker pops before the whole batch is queued and the batch runs in
+    /// pure (priority, submission) order. No door: a spec is validated
+    /// when it runs, so an invalid one fails only its own job, and no rate
+    /// gate is consulted. Each job keeps the cancel token it comes with.
+    pub(crate) fn enqueue(&self, jobs: impl IntoIterator<Item = (JobSpec, CancelToken)>) {
+        {
+            let mut state = self.shared.lock();
+            for (spec, cancel) in jobs {
+                self.queue(&mut state, spec, cancel);
+            }
+        }
+        self.shared.wakeup.notify_all();
+    }
+
+    /// Puts one admitted job in the table and the queue.
+    fn queue(&self, state: &mut DaemonState, spec: JobSpec, cancel: CancelToken) -> JobId {
+        let id = JobId(state.jobs.len() as u64);
+        let priority = spec.priority.unwrap_or(self.config.default_priority);
+        let algorithm = spec.kind.name();
+        state
+            .queue
+            .push_tenant(id.0 as usize, priority, tenant_of(&spec.name));
+        self.telemetry.job_submitted();
+        self.telemetry.job_queued_delta(1);
+        self.telemetry.trace(Some(id.0), "submit", || {
+            format!("{} ({algorithm}) queued at priority {priority}", spec.name)
+        });
+        state.jobs.push(JobSlot {
+            name: spec.name.clone(),
+            algorithm,
+            spec: Some(Arc::new(spec)),
+            status: JobStatus::Queued,
+            report: None,
+            cancel,
+            submitted_at: Instant::now(),
+        });
+        id
     }
 
     /// The job's status **right now** — `Queued`, `Running`, or terminal.
@@ -826,10 +895,23 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// [`ServiceReport`] together with the answer source (e.g. to read
     /// platform statistics). `None` on any call after the first.
     pub fn shutdown(&self) -> Option<(ServiceReport, S)> {
+        if !self.stop() {
+            return None;
+        }
+        let dispatcher = lock(&self.dispatcher).take()?;
+        let (dispatch_stats, source) = dispatcher.join().expect("dispatcher exits cleanly");
+        Some((self.service_report(dispatch_stats), source))
+    }
+
+    /// The first half of a shutdown: refuses further submissions, lets the
+    /// workers drain the queue and joins them, then lets go of the
+    /// dispatcher, which exits once it has served its last question.
+    /// `false` when shutdown had already begun.
+    pub(crate) fn stop(&self) -> bool {
         {
             let mut state = self.shared.lock();
             if !state.accepting {
-                return None;
+                return false;
             }
             state.accepting = false;
         }
@@ -841,7 +923,7 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
         // Workers are gone, so no fact can commit past this point: fsync
         // the WAL and cut a final compacted snapshot, making shutdown →
         // restart lossless by construction. Best-effort on I/O error —
-        // the in-flight reports below are returned regardless.
+        // the in-flight reports are returned regardless.
         if let Some(persist) = &self.persist {
             let _ = persist.sync();
             let _ = persist.snapshot(&self.memo_root);
@@ -849,9 +931,11 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
         // Workers are gone; dropping the daemon's own handle disconnects
         // the dispatcher's channel and lets it exit with its stats.
         drop(lock(&self.dispatch).take());
-        let dispatcher = lock(&self.dispatcher).take()?;
-        let (dispatch_stats, source) = dispatcher.join().expect("dispatcher exits cleanly");
+        true
+    }
 
+    /// The lifetime report of a stopped pool, given its dispatcher's stats.
+    pub(crate) fn service_report(&self, dispatch: DispatchStats) -> ServiceReport {
         let state = self.shared.lock();
         let jobs: Vec<JobReport> = state
             .jobs
@@ -863,17 +947,16 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
             total_logical.absorb(&job.ledger);
         }
         let reuse = self.memo_root.reuse_stats();
-        let report = ServiceReport {
+        ServiceReport {
             total_logical,
             crowd_tasks: self.global_budget.tasks_spent(),
             cache_hits: reuse.hits,
             cache_misses: reuse.forwarded,
             reuse,
-            dispatch: dispatch_stats,
+            dispatch,
             wall_ms: self.started.elapsed().as_millis() as u64,
             jobs,
-        };
-        Some((report, source))
+        }
     }
 }
 
@@ -890,9 +973,8 @@ impl<S> Drop for AuditDaemon<S> {
     }
 }
 
-/// One worker thread: pop the highest-priority job, run it with the scoped
-/// path's `run_job`, publish the report, repeat — until shutdown empties
-/// the queue.
+/// One worker thread: pop the highest-priority job, run it, publish the
+/// report, repeat — until shutdown empties the queue.
 fn worker_loop(context: WorkerContext) {
     loop {
         let (index, spec, cancel, submitted_at) = {
@@ -927,21 +1009,7 @@ fn worker_loop(context: WorkerContext) {
         let queued_ms = submitted_at.elapsed().as_millis() as u64;
         context.telemetry.job_queued_delta(-1);
         context.telemetry.job_running_delta(1);
-        let budget = JobBudget::new(
-            spec.budget.or(context.per_job_budget),
-            Arc::clone(&context.global_budget),
-        );
-        let report = run_job(
-            JobId(index as u64),
-            &spec,
-            &context.memo_root,
-            &context.dispatch,
-            budget,
-            cancel,
-            context.intra_job_parallelism,
-            queued_ms,
-            &context.telemetry,
-        );
+        let report = context.run_job(JobId(index as u64), &spec, cancel, queued_ms);
         context.telemetry.job_running_delta(-1);
         context
             .telemetry
@@ -959,6 +1027,266 @@ fn worker_loop(context: WorkerContext) {
             state.running -= 1;
         }
         context.shared.wakeup.notify_all();
+    }
+}
+
+impl WorkerContext {
+    /// Runs one job end to end. Budget exhaustion, cancellation and
+    /// platform failures arrive as `Err(Interrupted)` values from the
+    /// algorithm driver — nothing panics and nothing is caught: the partial
+    /// result and the live engine ledger go straight into the report.
+    fn run_job(&self, id: JobId, spec: &JobSpec, cancel: CancelToken, queued_ms: u64) -> JobReport {
+        let telemetry = &self.telemetry;
+        let start = Instant::now();
+        telemetry.record_queue_wait_ms(queued_ms);
+        telemetry.record_tenant_queue_wait_ms(tenant_of(&spec.name), queued_ms);
+        telemetry.trace(Some(id.0), "scheduled", || {
+            format!("{} picked up after {queued_ms} ms queued", spec.name)
+        });
+        // The lifecycle breakdown is plain wall-clock bookkeeping: always
+        // computed, telemetry on or off (only the trace/metrics calls are
+        // gated). It joins `wall_ms` in the set of fields the byte-identity
+        // proptest ignores.
+        let phases = |run_ms: u64| {
+            let mut phases = PhaseDurations::default();
+            phases.push("queued", queued_ms);
+            phases.push("run", run_ms);
+            phases
+        };
+        let base = JobReport {
+            id,
+            name: spec.name.clone(),
+            algorithm: spec.kind.name().to_string(),
+            status: JobStatus::Failed {
+                retries_exhausted: false,
+            },
+            outcome: None,
+            error: None,
+            ledger: TaskLedger::new(),
+            crowd_tasks: 0,
+            reuse: ReuseStats::default(),
+            wall_ms: 0,
+            phases_ms: PhaseDurations::default(),
+        };
+        let finish = |report: JobReport| {
+            telemetry.trace(Some(id.0), "store", || {
+                format!(
+                    "{} hit(s), {} narrowed, {} forwarded, {} object(s) pruned",
+                    report.reuse.hits,
+                    report.reuse.narrowed,
+                    report.reuse.forwarded,
+                    report.reuse.objects_pruned
+                )
+            });
+            telemetry.trace(
+                Some(id.0),
+                crate::telemetry::status_label(&report.status),
+                || {
+                    format!(
+                        "{} finished: {} crowd task(s), {} logical",
+                        report.name,
+                        report.crowd_tasks,
+                        report.ledger.total_tasks()
+                    )
+                },
+            );
+            telemetry.job_finished(&report.status, tenant_of(&report.name), report.crowd_tasks);
+            report
+        };
+        if let Err(message) = spec.validate() {
+            let wall_ms = start.elapsed().as_millis() as u64;
+            return finish(JobReport {
+                error: Some(message),
+                wall_ms,
+                phases_ms: phases(wall_ms),
+                ..base
+            });
+        }
+        if cancel.is_cancelled() {
+            // Cancelled while still queued: report without running.
+            let wall_ms = start.elapsed().as_millis() as u64;
+            return finish(JobReport {
+                status: JobStatus::Cancelled,
+                wall_ms,
+                phases_ms: phases(wall_ms),
+                ..base
+            });
+        }
+
+        let budget = JobBudget::new(
+            spec.budget.or(self.per_job_budget),
+            Arc::clone(&self.global_budget),
+        );
+        // Tag the job's questions with (tenant, job id) so the dispatcher
+        // can meter retries per tenant, gate on the tenant's breaker, and
+        // land retry/dead-letter events in this job's trace timeline.
+        let governed = GovernedSource::new(
+            self.dispatch.tagged(tenant_of(&spec.name), id.0),
+            budget.clone(),
+        );
+        let source = self.memo_root.with_inner(governed);
+        let mut engine = Engine::with_point_batch(source, spec.n).with_cancel_token(cancel);
+        if telemetry.is_enabled() {
+            // Forward the core engine's phase events ("phase1",
+            // "scan_group") into this job's trace timeline. The probe
+            // observes only — the engine cannot hear anything back
+            // through it.
+            engine.set_probe(coverage_core::probe::ProbeHandle::new(Arc::new(JobProbe {
+                telemetry: telemetry.clone(),
+                job: id.0,
+            })));
+        }
+        let parallelism =
+            IntraJobParallelism(spec.intra_parallelism.unwrap_or(self.intra_job_parallelism));
+        let result = execute_algorithm(spec, &mut engine, parallelism);
+        let ledger = *engine.ledger();
+        let crowd_tasks = budget.tasks_spent();
+        let reuse = engine.source().local_reuse_stats();
+        let wall_ms = start.elapsed().as_millis() as u64;
+        let base = JobReport {
+            ledger,
+            crowd_tasks,
+            reuse,
+            wall_ms,
+            phases_ms: phases(wall_ms),
+            ..base
+        };
+        finish(match result {
+            Ok(outcome) => JobReport {
+                status: JobStatus::Done,
+                outcome: Some(outcome),
+                ..base
+            },
+            Err(Interrupted { error, partial }) => match error {
+                AskError::BudgetExhausted(snapshot) => JobReport {
+                    status: JobStatus::Exhausted {
+                        scope: BudgetScope::from_snapshot(&snapshot),
+                        spent: snapshot.spent,
+                        cap: snapshot.cap,
+                    },
+                    outcome: Some(partial),
+                    ..base
+                },
+                AskError::Cancelled => JobReport {
+                    status: JobStatus::Cancelled,
+                    outcome: Some(partial),
+                    ..base
+                },
+                AskError::SourceFailed(message) => JobReport {
+                    status: JobStatus::Failed {
+                        retries_exhausted: false,
+                    },
+                    error: Some(message),
+                    ..base
+                },
+                // A transient error only escapes the dispatcher after the
+                // bounded retries (or a breaker refusal) gave up on it —
+                // the question was dead-lettered, so the flag lets
+                // operators tell "retried and lost" from "never worth
+                // retrying".
+                AskError::Transient { ref reason, .. } => JobReport {
+                    status: JobStatus::Failed {
+                        retries_exhausted: true,
+                    },
+                    error: Some(format!("retries exhausted: {reason}")),
+                    ..base
+                },
+                AskError::ConnectionLost => JobReport {
+                    status: JobStatus::Failed {
+                        retries_exhausted: false,
+                    },
+                    error: Some(error.to_string()),
+                    ..base
+                },
+            },
+        })
+    }
+}
+
+/// The bridge from the core engine's [`EngineProbe`](coverage_core::probe)
+/// seam to the service's trace ring: every phase event an algorithm driver
+/// emits lands in the job's timeline.
+struct JobProbe {
+    telemetry: Telemetry,
+    job: u64,
+}
+
+impl coverage_core::probe::EngineProbe for JobProbe {
+    fn on_phase(&self, phase: &str, detail: &str) {
+        self.telemetry
+            .trace(Some(self.job), phase, || detail.to_string());
+    }
+}
+
+/// Dispatches to the spec's algorithm driver, wrapping both the complete
+/// and the partial (interrupted) result into [`AuditOutcome`]. The
+/// multi-group drivers shard their super-group scan across
+/// `parallelism` threads *inside* this job, each worker asking through a
+/// fork of the job's shared-store handle (outcomes and logical ledgers are
+/// parallelism-invariant; see `coverage_core::multiple`).
+#[allow(clippy::result_large_err)] // the Err carries the partial outcome by design
+fn execute_algorithm<S: ForkableSource>(
+    spec: &JobSpec,
+    engine: &mut Engine<S>,
+    parallelism: IntraJobParallelism,
+) -> Result<AuditOutcome, Interrupted<AuditOutcome>> {
+    let mut rng = SmallRng::seed_from_u64(spec.seed);
+    match &spec.kind {
+        AuditKind::BaseCoverage { target } => base_coverage(engine, &spec.pool, target, spec.tau)
+            .map(AuditOutcome::Coverage)
+            .map_err(|i| i.map_partial(AuditOutcome::Coverage)),
+        AuditKind::GroupCoverage { target } => group_coverage(
+            engine,
+            &spec.pool,
+            target,
+            spec.tau,
+            spec.n,
+            &DncConfig::default(),
+        )
+        .map(AuditOutcome::Coverage)
+        .map_err(|i| i.map_partial(AuditOutcome::Coverage)),
+        AuditKind::MultipleCoverage { groups } => multiple_coverage_par(
+            engine,
+            &spec.pool,
+            groups,
+            &MultipleConfig {
+                tau: spec.tau,
+                n: spec.n,
+                ..MultipleConfig::default()
+            },
+            &mut rng,
+            parallelism,
+        )
+        .map(AuditOutcome::Multiple)
+        .map_err(|i| i.map_partial(AuditOutcome::Multiple)),
+        AuditKind::IntersectionalCoverage { schema } => intersectional_coverage_par(
+            engine,
+            &spec.pool,
+            schema,
+            &MultipleConfig {
+                tau: spec.tau,
+                n: spec.n,
+                ..MultipleConfig::default()
+            },
+            &mut rng,
+            parallelism,
+        )
+        .map(AuditOutcome::Intersectional)
+        .map_err(|i| i.map_partial(AuditOutcome::Intersectional)),
+        AuditKind::ClassifierCoverage { target, predicted } => classifier_coverage(
+            engine,
+            &spec.pool,
+            predicted,
+            target,
+            &ClassifierConfig {
+                tau: spec.tau,
+                n: spec.n,
+                ..ClassifierConfig::default()
+            },
+            &mut rng,
+        )
+        .map(AuditOutcome::Classifier)
+        .map_err(|i| i.map_partial(AuditOutcome::Classifier)),
     }
 }
 

@@ -44,16 +44,19 @@
 //! drivers — never as panics — so every terminal [`JobStatus`] is ordinary
 //! data and exhausted/cancelled jobs still report partial progress.
 //!
-//! Two front doors share all of the above machinery:
+//! All of the above machinery is one job pool, the [`AuditDaemon`](daemon),
+//! behind two front doors:
 //!
-//! * **scoped batch** — [`AuditService::run`] consumes the queued specs,
-//!   runs them to completion and returns one [`ServiceReport`];
-//! * **daemon** — [`AuditDaemon`](daemon) keeps the pool, dispatcher and
+//! * **daemon** — [`AuditDaemon::start`] keeps the pool, dispatcher and
 //!   knowledge store alive indefinitely: submit at any time, query live
 //!   [`JobStatus`]es, cancel, drain, shut down — and serve it all over
 //!   HTTP/JSON via [`HttpServer`](http) (`POST /jobs`, `GET /jobs/{id}`,
 //!   …), since specs, statuses and reports already serialize
-//!   (`serde` + `serde_json`).
+//!   (`serde` + `serde_json`);
+//! * **scoped batch** — [`AuditService::run`] starts the same pool inside a
+//!   thread scope (so the answer source may borrow), queues the submitted
+//!   specs, runs them to completion and returns the pool's
+//!   [`ServiceReport`].
 //!
 //! ## Quick example
 //!
@@ -361,6 +364,92 @@ mod tests {
             bad.error
         );
         assert_eq!(report.job(JobId(1)).unwrap().status, JobStatus::Done);
+    }
+
+    /// The scoped run persists nothing: a `data_dir` that does not exist
+    /// yet is never created, and the reports match the run without one.
+    #[test]
+    fn scoped_run_ignores_data_dir() {
+        let truth = minority_truth(600, 40);
+        let pool = truth.all_ids();
+        let run = |data_dir: Option<std::path::PathBuf>| {
+            let mut service = AuditService::new(ServiceConfig {
+                workers: 1,
+                data_dir,
+                ..ServiceConfig::default()
+            });
+            service.submit(
+                JobSpec::new(
+                    "group",
+                    pool.clone(),
+                    AuditKind::GroupCoverage { target: female() },
+                )
+                .tau(20),
+            );
+            service.submit(
+                JobSpec::new(
+                    "base",
+                    pool[..200].to_vec(),
+                    AuditKind::BaseCoverage { target: female() },
+                )
+                .tau(10),
+            );
+            let (report, _) = service.run(PerfectSource::new(&truth));
+            report
+                .jobs
+                .iter()
+                .map(|job| {
+                    let mut job = job.clone();
+                    job.wall_ms = 0;
+                    job.phases_ms = PhaseDurations::default();
+                    job.to_json()
+                })
+                .collect::<Vec<_>>()
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "cvg-scoped-data-dir-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let with_dir = run(Some(dir.clone()));
+        assert!(!dir.exists(), "the scoped run created {}", dir.display());
+        assert_eq!(with_dir, run(None));
+    }
+
+    /// The scoped run polices no tenant: a rate limit of one submission
+    /// with a queue quota of one still runs all five one-tenant jobs.
+    #[test]
+    fn scoped_run_ignores_tenant_rate_limit() {
+        let truth = minority_truth(500, 60);
+        let pool = truth.all_ids();
+        let mut service = AuditService::new(ServiceConfig {
+            workers: 1,
+            tenant_rate_limit: Some(TenantRateLimit {
+                per_second: 1,
+                burst: 1,
+                max_queued: Some(1),
+            }),
+            ..ServiceConfig::default()
+        });
+        for i in 0..5 {
+            service.submit(
+                JobSpec::new(
+                    format!("t/{i}"),
+                    pool.clone(),
+                    AuditKind::GroupCoverage { target: female() },
+                )
+                .tau(5),
+            );
+        }
+        let (report, _) = service.run(PerfectSource::new(&truth));
+        assert_eq!(report.jobs.len(), 5);
+        assert_eq!(
+            report.count_status(JobStatus::Done),
+            5,
+            "{}",
+            report.to_json()
+        );
     }
 
     /// A source whose answers validate object ids — the fallible analogue

@@ -1,8 +1,9 @@
-//! The orchestrator: N worker threads, one dispatcher, one shared
-//! knowledge store.
+//! The scoped front door: queue specs, run them all, get one report.
 //!
 //! [`AuditService`] collects submitted [`JobSpec`]s and [`AuditService::run`]
-//! executes them concurrently against one shared [`BatchAnswerSource`]:
+//! executes them concurrently against one shared [`BatchAnswerSource`], on
+//! the daemon's own job pool ([`crate::daemon`]) started for this batch
+//! alone:
 //!
 //! ```text
 //!  job thread 1 ─ Engine ─ SharedKnowledgeSource ─ GovernedSource ─┐
@@ -20,6 +21,9 @@
 //! the residual crowd spend, and one job's labels shrink every other job's
 //! queries. The run returns a serializable [`ServiceReport`] plus the
 //! answer source itself (so callers can inspect e.g. `MTurkSim` stats).
+//!
+//! This module also holds what both front doors share: the
+//! [`ServiceConfig`] knobs and the [`ServiceReport`] shape.
 //!
 //! ```
 //! use coverage_core::prelude::*;
@@ -50,24 +54,16 @@
 //! assert!(report.job(doomed).unwrap().status.is_cancelled());
 //! ```
 
-use crate::dispatch::{dispatch_channel, run_dispatcher, DispatchStats, DispatcherConfig};
-use crate::governor::{BudgetPolicy, BudgetScope, GlobalBudget, GovernedSource, JobBudget};
-use crate::job::{AuditKind, AuditOutcome, JobId, JobReport, JobSpec, JobStatus, PhaseDurations};
-use crate::telemetry::{tenant_of, Telemetry};
-use coverage_core::base_coverage::base_coverage;
-use coverage_core::classifier::{classifier_coverage, ClassifierConfig};
-use coverage_core::engine::{BatchAnswerSource, CancelToken, Engine, ForkableSource};
-use coverage_core::error::{AskError, Interrupted};
-use coverage_core::group_coverage::{group_coverage, DncConfig};
-use coverage_core::intersectional::intersectional_coverage_par;
+use crate::daemon::AuditDaemon;
+use crate::dispatch::DispatchStats;
+use crate::governor::BudgetPolicy;
+use crate::job::{JobId, JobReport, JobSpec, JobStatus};
+use coverage_core::engine::{BatchAnswerSource, CancelToken};
 use coverage_core::ledger::TaskLedger;
-use coverage_core::memo::{ReuseStats, SharedKnowledgeSource};
-use coverage_core::multiple::{multiple_coverage_par, IntraJobParallelism, MultipleConfig};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use coverage_core::memo::ReuseStats;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Service tuning.
 #[derive(Debug, Clone)]
@@ -283,32 +279,6 @@ impl ServiceConfig {
             );
         }
     }
-
-    /// The dispatcher retry policy these knobs describe (the jitter seed is
-    /// fixed: retries must be reproducible across runs, not tunable).
-    pub(crate) fn retry_policy(&self) -> crate::dispatch::RetryPolicy {
-        crate::dispatch::RetryPolicy {
-            max_attempts: self.retry_max_attempts,
-            base: Duration::from_millis(self.retry_base_ms),
-            hit_deadline: Duration::from_millis(self.hit_deadline_ms),
-            ..crate::dispatch::RetryPolicy::default()
-        }
-    }
-
-    /// A fresh per-tenant breaker registry at this config's threshold.
-    pub(crate) fn build_breakers(&self) -> crate::breaker::BreakerRegistry {
-        crate::breaker::BreakerRegistry::new(self.breaker_threshold, Duration::from_millis(500))
-    }
-
-    /// The telemetry plane this config asks for: a live registry + trace
-    /// ring, or the inert [`Telemetry::disabled`] plane.
-    pub(crate) fn build_telemetry(&self) -> Telemetry {
-        if self.telemetry {
-            Telemetry::new(self.trace_capacity)
-        } else {
-            Telemetry::disabled()
-        }
-    }
 }
 
 impl Default for ServiceConfig {
@@ -462,140 +432,30 @@ impl AuditService {
     /// Runs every queued job to completion on the worker pool and returns
     /// the report together with the answer source (e.g. to read platform
     /// statistics afterwards).
+    ///
+    /// The pool is the daemon's own ([`crate::daemon`]), started for this
+    /// batch alone: only its dispatcher, which owns `source`, runs on this
+    /// call's thread scope, so `source` may borrow. The batch is one
+    /// operator's workload, so the run persists nothing and polices no
+    /// tenant: [`ServiceConfig::data_dir`], the spill and
+    /// [`ServiceConfig::tenant_rate_limit`] are ignored.
     pub fn run<S: BatchAnswerSource + Send>(self, source: S) -> (ServiceReport, S) {
-        let start = Instant::now();
-        let config = self.config;
-        let jobs = self.jobs;
-        let cancel_tokens: Vec<CancelToken> = lock(&self.cancel_tokens).clone();
-
-        let telemetry = config.build_telemetry();
-        for (index, spec) in jobs.iter().enumerate() {
-            telemetry.job_submitted();
-            telemetry.job_queued_delta(1);
-            telemetry.trace(Some(index as u64), "submit", || {
-                format!(
-                    "{} ({}) queued at priority {}",
-                    spec.name,
-                    spec.kind.name(),
-                    spec.priority.unwrap_or(config.default_priority)
-                )
-            });
-        }
-
-        let (dispatch_handle, dispatch_rx) = dispatch_channel();
-        let dispatcher_config = DispatcherConfig {
-            point_batch: config.point_batch,
-            round_latency: config.round_latency,
-            telemetry: telemetry.clone(),
-            retry: config.retry_policy(),
-            breakers: config.build_breakers(),
+        let cancel_tokens = lock(&self.cancel_tokens).clone();
+        let config = ServiceConfig {
+            workers: self.config.workers.min(self.jobs.len().max(1)),
+            data_dir: None,
+            spill_high_watermark: None,
+            tenant_rate_limit: None,
+            ..self.config
         };
-        let global_budget = GlobalBudget::new(config.budget.global, config.point_batch);
-        let memo_root: SharedKnowledgeSource<()> =
-            SharedKnowledgeSource::with_shards((), config.store_shards);
-
-        let reports: Mutex<Vec<Option<JobReport>>> =
-            Mutex::new((0..jobs.len()).map(|_| None).collect());
-        // Priority dispatch: every queued spec competes on (priority,
-        // submission order) each time a worker frees up — with default
-        // priorities and uniform tenant weights this is exactly the old
-        // FIFO (asymmetric weights add WFQ across tenants, same as the
-        // daemon door).
-        let queue = Mutex::new({
-            let mut queue = crate::scheduler::PriorityQueue::with_weights(
-                config.priority_aging,
-                &config.tenant_weights,
-            );
-            for (index, spec) in jobs.iter().enumerate() {
-                queue.push_tenant(
-                    index,
-                    spec.priority.unwrap_or(config.default_priority),
-                    tenant_of(&spec.name),
-                );
-            }
-            queue
-        });
-
-        let (dispatch_stats, source) = std::thread::scope(|scope| {
-            let dispatcher = scope.spawn(|| {
-                let mut source = source;
-                let stats = run_dispatcher(&mut source, dispatch_rx, &dispatcher_config);
-                (stats, source)
-            });
-
-            let runners: Vec<_> = (0..config.workers.min(jobs.len().max(1)))
-                .map(|_| {
-                    let dispatch_handle = dispatch_handle.clone();
-                    let telemetry = telemetry.clone();
-                    scope.spawn(|| {
-                        let dispatch_handle = dispatch_handle;
-                        let telemetry = telemetry;
-                        loop {
-                            let index = match lock(&queue).pop() {
-                                Some(index) => index,
-                                None => break,
-                            };
-                            let spec = &jobs[index];
-                            let id = JobId(index as u64);
-                            // Scoped jobs are all "submitted" when the run
-                            // starts: queue wait is time-to-first-schedule
-                            // from there.
-                            let queued_ms = start.elapsed().as_millis() as u64;
-                            telemetry.job_queued_delta(-1);
-                            telemetry.job_running_delta(1);
-                            let budget = JobBudget::new(
-                                spec.budget.or(config.budget.per_job),
-                                Arc::clone(&global_budget),
-                            );
-                            let report = run_job(
-                                id,
-                                spec,
-                                &memo_root,
-                                &dispatch_handle,
-                                budget,
-                                cancel_tokens[index].clone(),
-                                config.intra_job_parallelism,
-                                queued_ms,
-                                &telemetry,
-                            );
-                            telemetry.job_running_delta(-1);
-                            telemetry.record_submit_to_first_result_ms(
-                                start.elapsed().as_millis() as u64
-                            );
-                            lock(&reports)[index] = Some(report);
-                        }
-                    })
-                })
-                .collect();
-            for runner in runners {
-                runner.join().expect("job runner never panics");
-            }
-            drop(dispatch_handle);
-            dispatcher.join().expect("dispatcher exits cleanly")
-        });
-
-        let jobs: Vec<JobReport> = reports
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_iter()
-            .map(|r| r.expect("every job reported"))
-            .collect();
-        let mut total_logical = TaskLedger::new();
-        for job in &jobs {
-            total_logical.absorb(&job.ledger);
-        }
-        let reuse = memo_root.reuse_stats();
-        let report = ServiceReport {
-            total_logical,
-            crowd_tasks: global_budget.tasks_spent(),
-            cache_hits: reuse.hits,
-            cache_misses: reuse.forwarded,
-            reuse,
-            dispatch: dispatch_stats,
-            wall_ms: start.elapsed().as_millis() as u64,
-            jobs,
-        };
-        (report, source)
+        std::thread::scope(|scope| {
+            let (pool, dispatcher) = AuditDaemon::launch(config, source);
+            let dispatcher = scope.spawn(dispatcher);
+            pool.enqueue(self.jobs.into_iter().zip(cancel_tokens));
+            pool.stop();
+            let (dispatch_stats, source) = dispatcher.join().expect("dispatcher exits cleanly");
+            (pool.service_report(dispatch_stats), source)
+        })
     }
 }
 
@@ -604,268 +464,4 @@ impl AuditService {
 /// Shared by this module and the daemon.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Runs one job end to end. Budget exhaustion, cancellation and platform
-/// failures arrive as `Err(Interrupted)` values from the algorithm driver —
-/// nothing panics and nothing is caught: the partial result and the live
-/// engine ledger go straight into the report. Shared by the scoped
-/// [`AuditService::run`] pool and the [`crate::daemon::AuditDaemon`]
-/// workers — one execution path is what makes daemon reports byte-identical
-/// to scoped ones.
-#[allow(clippy::too_many_arguments)] // one execution path shared by both front doors
-pub(crate) fn run_job(
-    id: JobId,
-    spec: &JobSpec,
-    memo_root: &SharedKnowledgeSource<()>,
-    dispatch_handle: &crate::dispatch::DispatchHandle,
-    budget: JobBudget,
-    cancel: CancelToken,
-    default_parallelism: usize,
-    queued_ms: u64,
-    telemetry: &Telemetry,
-) -> JobReport {
-    let start = Instant::now();
-    telemetry.record_queue_wait_ms(queued_ms);
-    telemetry.record_tenant_queue_wait_ms(tenant_of(&spec.name), queued_ms);
-    telemetry.trace(Some(id.0), "scheduled", || {
-        format!("{} picked up after {queued_ms} ms queued", spec.name)
-    });
-    // The lifecycle breakdown is plain wall-clock bookkeeping: always
-    // computed, telemetry on or off (only the trace/metrics calls are
-    // gated). It joins `wall_ms` in the set of fields the byte-identity
-    // proptest ignores.
-    let phases = |run_ms: u64| {
-        let mut phases = PhaseDurations::default();
-        phases.push("queued", queued_ms);
-        phases.push("run", run_ms);
-        phases
-    };
-    let base = JobReport {
-        id,
-        name: spec.name.clone(),
-        algorithm: spec.kind.name().to_string(),
-        status: JobStatus::Failed {
-            retries_exhausted: false,
-        },
-        outcome: None,
-        error: None,
-        ledger: TaskLedger::new(),
-        crowd_tasks: 0,
-        reuse: ReuseStats::default(),
-        wall_ms: 0,
-        phases_ms: PhaseDurations::default(),
-    };
-    let finish = |report: JobReport| {
-        telemetry.trace(Some(id.0), "store", || {
-            format!(
-                "{} hit(s), {} narrowed, {} forwarded, {} object(s) pruned",
-                report.reuse.hits,
-                report.reuse.narrowed,
-                report.reuse.forwarded,
-                report.reuse.objects_pruned
-            )
-        });
-        telemetry.trace(
-            Some(id.0),
-            crate::telemetry::status_label(&report.status),
-            || {
-                format!(
-                    "{} finished: {} crowd task(s), {} logical",
-                    report.name,
-                    report.crowd_tasks,
-                    report.ledger.total_tasks()
-                )
-            },
-        );
-        telemetry.job_finished(&report.status, tenant_of(&report.name), report.crowd_tasks);
-        report
-    };
-    if let Err(message) = spec.validate() {
-        let wall_ms = start.elapsed().as_millis() as u64;
-        return finish(JobReport {
-            error: Some(message),
-            wall_ms,
-            phases_ms: phases(wall_ms),
-            ..base
-        });
-    }
-    if cancel.is_cancelled() {
-        // Cancelled while still queued: report without running.
-        let wall_ms = start.elapsed().as_millis() as u64;
-        return finish(JobReport {
-            status: JobStatus::Cancelled,
-            wall_ms,
-            phases_ms: phases(wall_ms),
-            ..base
-        });
-    }
-
-    // Tag the job's questions with (tenant, job id) so the dispatcher can
-    // meter retries per tenant, gate on the tenant's breaker, and land
-    // retry/dead-letter events in this job's trace timeline.
-    let governed = GovernedSource::new(
-        dispatch_handle.tagged(tenant_of(&spec.name), id.0),
-        budget.clone(),
-    );
-    let source = memo_root.with_inner(governed);
-    let mut engine = Engine::with_point_batch(source, spec.n).with_cancel_token(cancel);
-    if telemetry.is_enabled() {
-        // Forward the core engine's phase events ("phase1", "scan_group")
-        // into this job's trace timeline. The probe observes only — the
-        // engine cannot hear anything back through it.
-        engine.set_probe(coverage_core::probe::ProbeHandle::new(Arc::new(JobProbe {
-            telemetry: telemetry.clone(),
-            job: id.0,
-        })));
-    }
-    let parallelism = IntraJobParallelism(spec.intra_parallelism.unwrap_or(default_parallelism));
-    let result = execute_algorithm(spec, &mut engine, parallelism);
-    let ledger = *engine.ledger();
-    let crowd_tasks = budget.tasks_spent();
-    let reuse = engine.source().local_reuse_stats();
-    let wall_ms = start.elapsed().as_millis() as u64;
-    let base = JobReport {
-        ledger,
-        crowd_tasks,
-        reuse,
-        wall_ms,
-        phases_ms: phases(wall_ms),
-        ..base
-    };
-    finish(match result {
-        Ok(outcome) => JobReport {
-            status: JobStatus::Done,
-            outcome: Some(outcome),
-            ..base
-        },
-        Err(Interrupted { error, partial }) => match error {
-            AskError::BudgetExhausted(snapshot) => JobReport {
-                status: JobStatus::Exhausted {
-                    scope: BudgetScope::from_snapshot(&snapshot),
-                    spent: snapshot.spent,
-                    cap: snapshot.cap,
-                },
-                outcome: Some(partial),
-                ..base
-            },
-            AskError::Cancelled => JobReport {
-                status: JobStatus::Cancelled,
-                outcome: Some(partial),
-                ..base
-            },
-            AskError::SourceFailed(message) => JobReport {
-                status: JobStatus::Failed {
-                    retries_exhausted: false,
-                },
-                error: Some(message),
-                ..base
-            },
-            // A transient error only escapes the dispatcher after the
-            // bounded retries (or a breaker refusal) gave up on it — the
-            // question was dead-lettered, so the flag lets operators tell
-            // "retried and lost" from "never worth retrying".
-            AskError::Transient { ref reason, .. } => JobReport {
-                status: JobStatus::Failed {
-                    retries_exhausted: true,
-                },
-                error: Some(format!("retries exhausted: {reason}")),
-                ..base
-            },
-            AskError::ConnectionLost => JobReport {
-                status: JobStatus::Failed {
-                    retries_exhausted: false,
-                },
-                error: Some(error.to_string()),
-                ..base
-            },
-        },
-    })
-}
-
-/// The bridge from the core engine's [`EngineProbe`](coverage_core::probe)
-/// seam to the service's trace ring: every phase event an algorithm driver
-/// emits lands in the job's timeline.
-struct JobProbe {
-    telemetry: Telemetry,
-    job: u64,
-}
-
-impl coverage_core::probe::EngineProbe for JobProbe {
-    fn on_phase(&self, phase: &str, detail: &str) {
-        self.telemetry
-            .trace(Some(self.job), phase, || detail.to_string());
-    }
-}
-
-/// Dispatches to the spec's algorithm driver, wrapping both the complete
-/// and the partial (interrupted) result into [`AuditOutcome`]. The
-/// multi-group drivers shard their super-group scan across
-/// `parallelism` threads *inside* this job, each worker asking through a
-/// fork of the job's shared-store handle (outcomes and logical ledgers are
-/// parallelism-invariant; see `coverage_core::multiple`).
-#[allow(clippy::result_large_err)] // the Err carries the partial outcome by design
-fn execute_algorithm<S: ForkableSource>(
-    spec: &JobSpec,
-    engine: &mut Engine<S>,
-    parallelism: IntraJobParallelism,
-) -> Result<AuditOutcome, Interrupted<AuditOutcome>> {
-    let mut rng = SmallRng::seed_from_u64(spec.seed);
-    match &spec.kind {
-        AuditKind::BaseCoverage { target } => base_coverage(engine, &spec.pool, target, spec.tau)
-            .map(AuditOutcome::Coverage)
-            .map_err(|i| i.map_partial(AuditOutcome::Coverage)),
-        AuditKind::GroupCoverage { target } => group_coverage(
-            engine,
-            &spec.pool,
-            target,
-            spec.tau,
-            spec.n,
-            &DncConfig::default(),
-        )
-        .map(AuditOutcome::Coverage)
-        .map_err(|i| i.map_partial(AuditOutcome::Coverage)),
-        AuditKind::MultipleCoverage { groups } => multiple_coverage_par(
-            engine,
-            &spec.pool,
-            groups,
-            &MultipleConfig {
-                tau: spec.tau,
-                n: spec.n,
-                ..MultipleConfig::default()
-            },
-            &mut rng,
-            parallelism,
-        )
-        .map(AuditOutcome::Multiple)
-        .map_err(|i| i.map_partial(AuditOutcome::Multiple)),
-        AuditKind::IntersectionalCoverage { schema } => intersectional_coverage_par(
-            engine,
-            &spec.pool,
-            schema,
-            &MultipleConfig {
-                tau: spec.tau,
-                n: spec.n,
-                ..MultipleConfig::default()
-            },
-            &mut rng,
-            parallelism,
-        )
-        .map(AuditOutcome::Intersectional)
-        .map_err(|i| i.map_partial(AuditOutcome::Intersectional)),
-        AuditKind::ClassifierCoverage { target, predicted } => classifier_coverage(
-            engine,
-            &spec.pool,
-            predicted,
-            target,
-            &ClassifierConfig {
-                tau: spec.tau,
-                n: spec.n,
-                ..ClassifierConfig::default()
-            },
-            &mut rng,
-        )
-        .map(AuditOutcome::Classifier)
-        .map_err(|i| i.map_partial(AuditOutcome::Classifier)),
-    }
 }
