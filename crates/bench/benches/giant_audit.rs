@@ -1,15 +1,16 @@
-//! Scale-out of ONE giant audit: intra-job sharding of the
-//! Intersectional-Coverage super-group scan plus the lock-striped
-//! knowledge store, measured on a single high-arity tenant.
+//! Scale-out of ONE giant audit: the interleaved Intersectional-Coverage
+//! super-group scan over the lock-striped knowledge store, measured on a
+//! single high-arity tenant.
 //!
 //! Complements `service_throughput` (which scales *across* jobs): here
 //! there is exactly one job, one runner thread, and a simulated platform
-//! round-trip — the wall-clock win comes entirely from sharding the scan
-//! inside the audit so items wait out dispatch rounds together. The
-//! instrumented `emit_scaleout_report` target records the shard-scaling
-//! curve and the dense-vs-HashMap `mups_from_counts` timings in
-//! `results/BENCH_scaleout.json` (the `giant_audit` example writes its own
-//! section with asserts; CI surfaces both).
+//! round-trip, so the wall-clock is the job's dispatcher rounds — every
+//! live scan item's next wave shares one round. The sweep runs the store
+//! striped 1, 2, 4 and 8 ways. The instrumented `emit_scaleout_report`
+//! target asserts that the stripe count moves no outcome, ledger or round,
+//! and records the curve and the dense-vs-HashMap `mups_from_counts`
+//! timings in `results/BENCH_scaleout.json` (the `giant_audit` example
+//! writes its own section; CI surfaces both).
 
 use coverage_core::mup::FullGroupCounts;
 use coverage_core::prelude::*;
@@ -27,6 +28,7 @@ use std::time::{Duration, Instant};
 const SEED: u64 = 33;
 const TAU: usize = 50;
 const ROUND_LATENCY: Duration = Duration::from_micros(300);
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn dataset() -> Dataset {
     let mut rng = SmallRng::seed_from_u64(SEED);
@@ -47,9 +49,10 @@ fn platform(data: &Dataset) -> MTurkSim<'_, Dataset> {
     )
 }
 
-/// One giant audit at `shards` store stripes + scan threads; returns the
-/// run's wall-clock milliseconds.
-fn run_giant(data: &Dataset, shards: usize) -> u64 {
+/// One giant audit at `shards` store stripes: the run's wall-clock
+/// milliseconds, and what must not depend on the stripe count — the
+/// outcome JSON, the logical ledger and the dispatcher rounds.
+fn run_giant(data: &Dataset, shards: usize) -> (u64, (String, TaskLedger, u64)) {
     let mut service = AuditService::new(ServiceConfig {
         workers: 1,
         round_latency: ROUND_LATENCY,
@@ -65,22 +68,22 @@ fn run_giant(data: &Dataset, shards: usize) -> u64 {
             },
         )
         .tau(TAU)
-        .seed(5)
-        .intra_parallelism(shards),
+        .seed(5),
     );
     let (report, _platform) = service.run(platform(data));
-    assert!(
-        report.job(JobId(0)).unwrap().status.is_done(),
-        "{}",
-        report.to_json()
-    );
-    report.wall_ms
+    let job = report.job(JobId(0)).unwrap();
+    assert!(job.status.is_done(), "{}", report.to_json());
+    let outcome = serde_json::to_string(job.outcome.as_ref().unwrap()).unwrap();
+    (
+        report.wall_ms,
+        (outcome, job.ledger, report.dispatch.rounds),
+    )
 }
 
 fn bench_giant_audit_shards(c: &mut Criterion) {
     let data = dataset();
     let mut group = c.benchmark_group("giant_audit/intersectional_2x4x3");
-    for shards in [1usize, 2, 4, 8] {
+    for shards in SHARD_COUNTS {
         group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
             b.iter(|| run_giant(&data, shards))
         });
@@ -112,14 +115,21 @@ fn emit_scaleout_report(_c: &mut Criterion) {
     let data = dataset();
     let mut rows = Vec::new();
     let mut walls = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        let wall_ms = run_giant(&data, shards);
+    let mut baseline = None;
+    for shards in SHARD_COUNTS {
+        let (wall_ms, run) = run_giant(&data, shards);
+        let baseline = baseline.get_or_insert_with(|| run.clone());
+        assert_eq!(
+            &run, baseline,
+            "{shards} store shards moved the outcome, ledger or rounds"
+        );
         walls.push((shards, wall_ms));
         rows.push(json_object(vec![
             ("shards", Value::UInt(shards as u64)),
             ("wall_ms", Value::UInt(wall_ms)),
         ]));
     }
+    let rounds = baseline.map_or(0, |(_, _, rounds)| rounds);
     let (schema, counts) = mup_bench_inputs();
     const ITERS: u32 = 100;
     let started = Instant::now();
@@ -137,6 +147,7 @@ fn emit_scaleout_report(_c: &mut Criterion) {
             "round_latency_us",
             Value::UInt(ROUND_LATENCY.as_micros() as u64),
         ),
+        ("dispatch_rounds", Value::UInt(rounds)),
         ("shard_scaling", Value::Array(rows)),
         ("mups_dense_ns", Value::UInt(dense_ns)),
         ("mups_hashmap_ns", Value::UInt(hashmap_ns)),
@@ -144,7 +155,8 @@ fn emit_scaleout_report(_c: &mut Criterion) {
     update_json_report(bench_scaleout_path(), "giant_audit_bench", section)
         .expect("write BENCH_scaleout.json");
     println!(
-        "giant_audit scale-out: {:?} (ms by shard count), mups dense/hashmap {:.2}x, recorded in {}",
+        "giant_audit scale-out: {} dispatcher rounds, {:?} (ms by shard count), mups dense/hashmap {:.2}x, recorded in {}",
+        rounds,
         walls,
         hashmap_ns as f64 / dense_ns.max(1) as f64,
         bench_scaleout_path().display(),

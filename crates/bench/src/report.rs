@@ -17,9 +17,9 @@ pub fn bench_reuse_path() -> PathBuf {
 }
 
 /// The canonical scale-out report file: `results/BENCH_scaleout.json`,
-/// written by the `giant_audit` bench and example — intra-audit shard
-/// scaling of one high-arity tenant plus the dense-vs-HashMap
-/// `mups_from_counts` comparison.
+/// written by the `giant_audit` bench and example — one high-arity
+/// tenant's dispatcher rounds and wall-clock across store shard counts,
+/// plus the dense-vs-HashMap `mups_from_counts` comparison.
 pub fn bench_scaleout_path() -> PathBuf {
     results_dir().join("BENCH_scaleout.json")
 }

@@ -147,7 +147,7 @@ pub fn intersectional_scenario_2x4() -> Scenario {
 /// The high-arity schema of the `giant_audit` scale-out scenario:
 /// gender (2) × race (4) × age (3) — 24 fully-specified cells, 60 lattice
 /// patterns. Arity is what blows up Intersectional-Coverage, so this is
-/// the regime where intra-audit parallelism has to earn its keep.
+/// the regime where the interleaved super-group scan has to earn its keep.
 pub fn giant_audit_schema() -> AttributeSchema {
     AttributeSchema::new(vec![
         Attribute::binary("gender", "male", "female").expect("attribute"),
@@ -162,8 +162,8 @@ pub fn giant_audit_schema() -> AttributeSchema {
 /// The composition is chosen so the super-group scan fans out into many
 /// independent work items at `τ = 50`: a few large cells the `c·τ` sample
 /// certifies nearly for free, a band of moderate cells that each need
-/// their own Group-Coverage run (singleton super-groups — the parallel
-/// meat), and tiny sibling cells that merge into uncovered super-groups
+/// their own Group-Coverage run (singleton super-groups, whose waves
+/// share rounds), and tiny sibling cells that merge into uncovered super-groups
 /// whose members get exact counts via witness resolution.
 pub fn giant_audit_counts() -> Vec<usize> {
     vec![

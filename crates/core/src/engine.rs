@@ -17,10 +17,13 @@
 //! ([`AnswerSource::try_answer_point_labels_many`]), so a serving layer
 //! below can publish it as `⌈k/n⌉` real HITs at once.
 //!
-//! Set queries come one at a time or as a **wave**: every set query a
-//! divide-and-conquer driver is certain to ask next (the rule lives in
-//! [`group_coverage`](mod@crate::group_coverage)). A wave is the third
-//! request shape: it goes to the source as one request
+//! Set queries come one at a time or as a **set request**: a list of
+//! [`SetQuery`] pairs, each set with its own target. A Group-Coverage run
+//! asks a *wave* — every set query it is certain to ask next (the rule
+//! lives in [`group_coverage`](mod@crate::group_coverage)) — and the
+//! multi-group scan of [`multiple`](mod@crate::multiple) asks the waves of
+//! all its live runs, about their different targets, as one request. It
+//! goes to the source as one request
 //! ([`AnswerSource::try_answer_sets_many`]), so a serving layer below can
 //! answer it in one platform round. Each delivered set is still one task,
 //! exactly as if it had been asked alone.
@@ -199,19 +202,25 @@ pub trait AnswerSource {
         Batch::one_at_a_time(objects, |object| self.try_answer_point_labels(*object))
     }
 
-    /// Answer a set query about `target` for every set in `sets` as **one
-    /// request**: the shape [`Engine::ask_sets`] asks a wave in, so layers
+    /// Answer every [`SetQuery`] in `sets`, each about its own target, as
+    /// **one request**: the shape [`Engine::ask_sets`] asks in, so layers
     /// that can serve many sets at once (a reuse store, a budget governor,
     /// the `coverage-service` dispatcher, which serves a round's sets as one
-    /// platform call) see the whole wave.
+    /// platform call) see the whole request.
     ///
     /// Delivery is per slot, as for labels. The default asks one set at a
     /// time and stops at the first error, so its delivered slots are always
     /// a prefix.
-    fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
-        Batch::one_at_a_time(sets, |objects| self.try_answer_set(objects, target))
+    fn try_answer_sets_many(&mut self, sets: &[SetQuery<'_>]) -> SetBatch {
+        Batch::one_at_a_time(sets, |(objects, target)| {
+            self.try_answer_set(objects, target)
+        })
     }
 }
+
+/// One set query of a set request: does `objects` contain at least one
+/// member of the target?
+pub type SetQuery<'a> = (&'a [ObjectId], &'a Target);
 
 /// What one many-question request delivered: a slot per question, in
 /// order, and the error that left any slot empty. [`LabelBatch`] carries
@@ -234,7 +243,7 @@ pub struct Batch<T> {
 /// The answer to a point-label request: one label slot per object.
 pub type LabelBatch = Batch<Labels>;
 
-/// The answer to a set-query wave: one verdict slot per set.
+/// The answer to a set request: one verdict slot per set.
 pub type SetBatch = Batch<bool>;
 
 impl<T> Batch<T> {
@@ -266,13 +275,13 @@ impl<T> Batch<T> {
         Self { slots, error: None }
     }
 
-    /// How many leading slots are filled: the answered prefix, which is
-    /// what the engine meters when a label batch fails.
+    /// How many leading slots are filled: the answered prefix.
     pub fn answered_prefix(&self) -> usize {
         self.slots.iter().take_while(|s| s.is_some()).count()
     }
 
-    /// How many slots are filled, wherever they sit.
+    /// How many slots are filled, wherever they sit: what the engine
+    /// meters for a request, cut short or not.
     pub fn delivered(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
@@ -438,37 +447,6 @@ impl<G: GroundTruth> InfallibleSource for PerfectSource<'_, G> {
 
 impl<G: GroundTruth> BatchAnswerSource for PerfectSource<'_, G> {}
 
-/// An answer source that intra-audit parallel drivers can split across
-/// worker threads and merge back.
-///
-/// [`multiple_coverage_par`](crate::multiple::multiple_coverage_par) shards
-/// its super-group scan over `std::thread::scope` workers; each worker asks
-/// through its own **fork** of the job's source and, when the scan joins,
-/// the fork is handed back so per-handle state (e.g. the local
-/// [`ReuseStats`](crate::memo::ReuseStats) tally of a
-/// [`SharedKnowledgeSource`](crate::memo::SharedKnowledgeSource) handle)
-/// is folded into the original. Forks must answer **consistently** with
-/// the original — the same fixed labeling behind every handle — which is
-/// what makes parallel scans byte-identical to sequential ones.
-pub trait ForkableSource: AnswerSource + Send + Sized {
-    /// A handle over the same underlying answers for another thread.
-    fn fork(&self) -> Self;
-
-    /// Folds a fork's per-handle state back in once its thread is done.
-    /// The default drops the fork (nothing to merge).
-    fn join(&mut self, forked: Self) {
-        drop(forked);
-    }
-}
-
-impl<G: GroundTruth + Sync> ForkableSource for PerfectSource<'_, G> {
-    fn fork(&self) -> Self {
-        // Not `clone()`: the derived bound would demand `G: Clone`; a fork
-        // only needs another handle on the same borrowed truth.
-        Self { truth: self.truth }
-    }
-}
-
 /// An **owned** error-free answer source: [`PerfectSource`] semantics over
 /// an `Arc`-shared ground truth, with no borrowed lifetime.
 ///
@@ -477,8 +455,8 @@ impl<G: GroundTruth + Sync> ForkableSource for PerfectSource<'_, G> {
 /// `AuditService::run`, impossible for a long-lived daemon whose worker
 /// and dispatcher threads outlive any caller's frame. `SharedTruthSource`
 /// owns an `Arc<G>` instead, so it is `'static` whenever `G` is: the
-/// `coverage-service` `AuditDaemon` can hold it (and fork it, see
-/// [`ForkableSource`]) across arbitrarily many job runs.
+/// `coverage-service` `AuditDaemon` can hold it across arbitrarily many
+/// job runs.
 ///
 /// ```
 /// use coverage_core::prelude::*;
@@ -531,12 +509,6 @@ impl<G: GroundTruth> InfallibleSource for SharedTruthSource<G> {
 }
 
 impl<G: GroundTruth> BatchAnswerSource for SharedTruthSource<G> {}
-
-impl<G: GroundTruth + Send + Sync> ForkableSource for SharedTruthSource<G> {
-    fn fork(&self) -> Self {
-        self.clone()
-    }
-}
 
 /// Default number of images per point-query HIT, matching the paper's
 /// HIT layout (`n = 50` images per HIT).
@@ -592,12 +564,6 @@ impl<S: AnswerSource> Engine<S> {
         self
     }
 
-    /// The installed cancellation token, if any — so intra-audit parallel
-    /// drivers can propagate cancellation into their worker engines.
-    pub fn cancel_token(&self) -> Option<CancelToken> {
-        self.cancel.clone()
-    }
-
     /// Attaches an observability probe: algorithm drivers emit coarse phase
     /// events through it (see [`crate::probe`]). Strictly read-only — a
     /// probe never changes an answer, a ledger entry or a verdict.
@@ -635,21 +601,21 @@ impl<S: AnswerSource> Engine<S> {
         Ok(ans)
     }
 
-    /// Issues a **wave** of set queries about one target as one request
-    /// ([`AnswerSource::try_answer_sets_many`]), so a serving layer below
-    /// can answer the whole wave in one platform round.
+    /// Issues a **set request** — set queries, each about its own target —
+    /// as one request ([`AnswerSource::try_answer_sets_many`]), so a
+    /// serving layer below can answer all of it in one platform round.
     ///
     /// Each delivered set is one logical task, metered as if it had been
-    /// asked alone. A wave the source cut short still meters what it
+    /// asked alone. A request the source cut short still meters what it
     /// delivered: those answers are real crowd work (a governor has
     /// charged them, and behind a cache they stay reusable). What an empty
     /// slot means is the caller's decision: the divide-and-conquer drivers
     /// stop with its error when they reach it.
-    pub fn ask_sets(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+    pub fn ask_sets(&mut self, sets: &[SetQuery<'_>]) -> SetBatch {
         if let Err(error) = self.checkpoint() {
             return SetBatch::refused(sets.len(), error);
         }
-        let batch = self.source.try_answer_sets_many(sets, target);
+        let batch = self.source.try_answer_sets_many(sets);
         self.ledger.record_set_queries(batch.delivered() as u64);
         batch
     }
@@ -683,19 +649,20 @@ impl<S: AnswerSource> Engine<S> {
     /// below can publish it as `ceil(len / n)` HITs at once rather than one
     /// HIT per object.
     ///
-    /// Delivery is all-or-nothing: on `Err` no labels are returned. The
-    /// answered prefix is still metered in the ledger — those labels are
-    /// real crowd work (a governor has charged them, and behind a cache
-    /// they stay reusable), so the ledger must not understate them.
+    /// Delivery is all-or-nothing: on `Err` no labels are returned. Every
+    /// delivered label is still metered in the ledger, wherever its slot
+    /// sits — the slots after a failed HIT are real crowd work too (a
+    /// governor has charged them, and behind a cache they stay reusable),
+    /// so the ledger must not understate them.
     pub fn ask_point_labels_batched(
         &mut self,
         objects: &[ObjectId],
     ) -> Result<Vec<Labels>, AskError> {
         self.checkpoint()?;
         let batch = self.source.try_answer_point_labels_many(objects);
-        let answered = batch.answered_prefix();
+        let delivered = batch.delivered();
         self.ledger
-            .record_point_work(answered as u64, batched_tasks(answered, self.point_batch));
+            .record_point_work(delivered as u64, batched_tasks(delivered, self.point_batch));
         batch.into_result()
     }
 
@@ -719,21 +686,9 @@ impl<S: AnswerSource> Engine<S> {
         self.ledger = TaskLedger::new();
     }
 
-    /// Folds another ledger's totals into this engine's — how intra-audit
-    /// parallel drivers merge their worker engines' metering back into the
-    /// job's engine so callers keep reading one authoritative ledger.
-    pub fn absorb_ledger(&mut self, other: &TaskLedger) {
-        self.ledger.absorb(other);
-    }
-
     /// Read access to the wrapped source.
     pub fn source(&self) -> &S {
         &self.source
-    }
-
-    /// Mutable access to the wrapped source (e.g. to reseed a simulator).
-    pub fn source_mut(&mut self) -> &mut S {
-        &mut self.source
     }
 
     /// Unwraps the engine into its source.
@@ -817,9 +772,9 @@ mod tests {
             self.inner.try_answer_point_labels_many(objects)
         }
 
-        fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+        fn try_answer_sets_many(&mut self, sets: &[SetQuery<'_>]) -> SetBatch {
             self.requests.push(sets.len());
-            self.inner.try_answer_sets_many(sets, target)
+            self.inner.try_answer_sets_many(sets)
         }
     }
 
@@ -833,12 +788,36 @@ mod tests {
             requests: Vec::new(),
         };
         let mut engine = Engine::new(source);
-        let sets: Vec<&[ObjectId]> = ids.chunks(10).collect();
-        let wave = engine.ask_sets(&sets, &target);
+        let sets: Vec<SetQuery> = ids.chunks(10).map(|set| (set, &target)).collect();
+        let wave = engine.ask_sets(&sets);
         assert_eq!(wave.into_result(), Ok(vec![true, false, false]));
         assert_eq!(engine.source().requests, vec![3]);
         assert_eq!(engine.ledger().set_queries(), 3);
         assert_eq!(engine.ledger().total_tasks(), 3);
+    }
+
+    /// One set request may ask about several targets: each set is answered
+    /// about its own.
+    #[test]
+    fn a_set_request_carries_a_target_per_set() {
+        let truth = truth_with_minority(30, 7);
+        let minority = Target::group(Pattern::parse("1").unwrap());
+        let majority = Target::group(Pattern::parse("0").unwrap());
+        let ids = truth.all_ids();
+        let mut engine = Engine::new(RequestLog {
+            inner: PerfectSource::new(&truth),
+            requests: Vec::new(),
+        });
+        let sets: Vec<SetQuery> = vec![
+            (&ids[..7], &minority),
+            (&ids[..7], &majority),
+            (&ids[7..], &minority),
+            (&ids[7..], &majority),
+        ];
+        let request = engine.ask_sets(&sets);
+        assert_eq!(request.into_result(), Ok(vec![true, false, false, true]));
+        assert_eq!(engine.source().requests, vec![4]);
+        assert_eq!(engine.ledger().set_queries(), 4);
     }
 
     /// A wave cut short meters what it delivered, and a cancelled run asks
@@ -854,13 +833,13 @@ mod tests {
             allow: 2,
         })
         .with_cancel_token(token.clone());
-        let sets: Vec<&[ObjectId]> = ids.chunks(10).collect();
-        let wave = engine.ask_sets(&sets, &target);
+        let sets: Vec<SetQuery> = ids.chunks(10).map(|set| (set, &target)).collect();
+        let wave = engine.ask_sets(&sets);
         assert_eq!(wave.slots, vec![Some(true), Some(false), None]);
         assert!(matches!(wave.error, Some(AskError::SourceFailed(_))));
         assert_eq!(engine.ledger().set_queries(), 2);
         token.cancel();
-        let wave = engine.ask_sets(&sets, &target);
+        let wave = engine.ask_sets(&sets);
         assert_eq!(wave, SetBatch::refused(3, AskError::Cancelled));
         assert_eq!(engine.ledger().set_queries(), 2);
     }
@@ -985,6 +964,41 @@ mod tests {
         assert_eq!(engine.ledger().total_tasks(), 2);
     }
 
+    /// A source whose middle HIT failed: the first and last labels arrived.
+    struct MiddleHitFails;
+
+    impl AnswerSource for MiddleHitFails {
+        fn try_answer_set(&mut self, _: &[ObjectId], _: &Target) -> Result<bool, AskError> {
+            unreachable!("only labels are asked")
+        }
+
+        fn try_answer_point_labels(&mut self, _: ObjectId) -> Result<Labels, AskError> {
+            unreachable!("labels come as one batch")
+        }
+
+        fn try_answer_point_labels_many(&mut self, objects: &[ObjectId]) -> LabelBatch {
+            assert_eq!(objects.len(), 3);
+            LabelBatch {
+                slots: vec![Some(Labels::single(1)), None, Some(Labels::single(0))],
+                error: Some(AskError::SourceFailed("middle HIT".into())),
+            }
+        }
+    }
+
+    /// Every delivered label is metered, not only the answered prefix: the
+    /// slot after a failed HIT was bought too.
+    #[test]
+    fn a_failed_batch_meters_every_delivered_label() {
+        let mut engine = Engine::with_point_batch(MiddleHitFails, 1);
+        let ids = [ObjectId(0), ObjectId(1), ObjectId(2)];
+        assert_eq!(
+            engine.ask_point_labels_batched(&ids),
+            Err(AskError::SourceFailed("middle HIT".into()))
+        );
+        assert_eq!(engine.ledger().point_labels(), 2);
+        assert_eq!(engine.ledger().point_tasks(), 2);
+    }
+
     #[test]
     fn shared_truth_source_matches_perfect_source() {
         let truth = truth_with_minority(30, 7);
@@ -1007,9 +1021,9 @@ mod tests {
                 borrowed.answer_membership(*id, &target)
             );
         }
-        // A fork answers from the same truth; the handle is 'static-capable.
-        let mut fork = owned.fork();
-        assert!(fork.answer_set(&ids[..7], &target));
+        // A clone answers from the same truth; the handle is 'static-capable.
+        let mut clone = owned.clone();
+        assert!(clone.answer_set(&ids[..7], &target));
         assert_eq!(owned.truth().num_objects(), 30);
         fn assert_static<T: 'static>(_: &T) {}
         assert_static(&owned);

@@ -21,8 +21,12 @@
 //! but it does not *ask* one set at a time. When it needs an answer it
 //! does not hold, it asks a **wave**: every set query in the frontier that
 //! the one-at-a-time run is certain to ask next, as one request
-//! ([`Engine::ask_sets`]). The wave walks the frontier in pop order,
-//! starting with the node about to be asked:
+//! ([`Engine::ask_sets`]). The run itself asks nothing: it is a resumable
+//! state machine that hands the wave out and takes the answers back, so
+//! [`group_coverage`] drives one run on an engine and the multi-group scan
+//! of [`multiple`](mod@crate::multiple) drives all its runs from one loop.
+//! The wave walks the frontier in pop order, starting with the node about
+//! to be asked:
 //!
 //! * every root and the first-popped child of each sibling pair joins;
 //! * a second-popped child joins only if its sibling is known to have said
@@ -45,8 +49,10 @@
 //! perfect oracle, a per-question-seeded crowd); a stream-seeded crowd
 //! draws its noise in call order, so a wave's order can move its answers.
 
-use crate::engine::{AnswerSource, Engine, ObjectId};
-use crate::error::{require_positive_n, try_ask, Interrupted};
+use crate::engine::{AnswerSource, Engine, ObjectId, SetQuery};
+#[cfg(test)]
+use crate::error::try_ask;
+use crate::error::{require_positive_n, AskError, Interrupted};
 use crate::target::Target;
 use crate::tree::{Arena, Frontier, Held, Node, Waves, NO_NODE};
 use serde::{Deserialize, Serialize};
@@ -151,147 +157,229 @@ pub fn group_coverage<S: AnswerSource>(
     n: usize,
     config: &DncConfig,
 ) -> Result<GroupCoverageOutcome, Interrupted<GroupCoverageOutcome>> {
-    require_positive_n(n);
-    let before = engine.ledger_snapshot();
-    let mut witnesses = Vec::new();
+    let mut run = GroupCoverageRun::new(pool, target.clone(), tau, n, config);
+    loop {
+        if let Some(result) = run.advance() {
+            return result;
+        }
+        let sets: Vec<SetQuery> = run.wave().map(|objects| (objects, target)).collect();
+        let batch = engine.ask_sets(&sets);
+        run.deliver(&batch.slots, batch.error.as_ref());
+    }
+}
 
-    if tau == 0 {
-        return Ok(GroupCoverageOutcome {
-            covered: true,
-            count: 0,
+/// How a [`GroupCoverageRun`] ended: its outcome, or the error that cut it
+/// with the partial outcome.
+pub(crate) type RunResult = Result<GroupCoverageOutcome, Interrupted<GroupCoverageOutcome>>;
+
+/// One Group-Coverage run as a resumable state machine, asking nothing
+/// itself.
+///
+/// [`advance`](Self::advance) runs Algorithm 1 on the answers the run
+/// holds. When it reaches a node it holds no answer for, it stops and
+/// hands out that node's certain wave ([`wave`](Self::wave)); whoever
+/// drives it asks the wave and hands the answers back
+/// ([`deliver`](Self::deliver)). [`group_coverage`] drives one run on an
+/// engine; the multi-group scan of [`crate::multiple`] drives many at
+/// once and sends all their waves as one request.
+#[derive(Debug)]
+pub(crate) struct GroupCoverageRun<'p> {
+    pool: &'p [ObjectId],
+    target: Target,
+    tau: usize,
+    config: DncConfig,
+    arena: Arena,
+    frontier: Frontier,
+    /// The paper's lower bound `cnt`.
+    cnt: usize,
+    waves: Waves,
+    witnesses: Vec<ObjectId>,
+    /// Sets the run's waves delivered, consumed or not.
+    set_queries: u64,
+    /// The popped node the run waits on, if any.
+    head: Option<u32>,
+    /// The wave asked for `head`, in pop order.
+    wave: Vec<u32>,
+}
+
+impl<'p> GroupCoverageRun<'p> {
+    /// A run of Algorithm 1 over `pool` for `target` that has asked
+    /// nothing yet.
+    ///
+    /// # Panics
+    /// Panics when `n == 0`.
+    pub(crate) fn new(
+        pool: &'p [ObjectId],
+        target: Target,
+        tau: usize,
+        n: usize,
+        config: &DncConfig,
+    ) -> Self {
+        require_positive_n(n);
+        let mut arena = Arena::default();
+        let mut frontier = match config.traversal {
+            Traversal::Bfs => Frontier::fifo(),
+            Traversal::Dfs => Frontier::lifo(),
+        };
+        // Lines 2-3: partition the pool into ⌈N/n⌉ root sets. With τ = 0
+        // there are none: the run is covered before it asks anything.
+        if tau > 0 {
+            arena = Arena::with_capacity(2 * pool.len().div_ceil(n));
+            for start in (0..pool.len()).step_by(n) {
+                let end = (start + n).min(pool.len());
+                frontier.push(arena.push(Node::root(start as u32, end as u32)));
+            }
+        }
+        Self {
+            pool,
+            target,
+            tau,
+            config: config.clone(),
+            arena,
+            frontier,
+            cnt: 0,
+            waves: Waves::default(),
+            witnesses: Vec::new(),
             set_queries: 0,
-            witnesses,
-        });
-    }
-    if pool.is_empty() {
-        return Ok(GroupCoverageOutcome {
-            covered: false,
-            count: 0,
-            set_queries: 0,
-            witnesses,
-        });
+            head: None,
+            wave: Vec::new(),
+        }
     }
 
-    let mut arena = Arena::with_capacity(2 * pool.len().div_ceil(n));
-    let mut frontier = match config.traversal {
-        Traversal::Bfs => Frontier::fifo(),
-        Traversal::Dfs => Frontier::lifo(),
-    };
-
-    // Line 2-3: partition the pool into ⌈N/n⌉ root sets.
-    let mut start = 0usize;
-    while start < pool.len() {
-        let end = (start + n).min(pool.len());
-        let id = arena.push(Node::root(start as u32, end as u32));
-        frontier.push(id);
-        start = end;
+    /// The target every set of the run asks about.
+    pub(crate) fn target(&self) -> &Target {
+        &self.target
     }
 
-    let mut cnt = 0usize;
-    let mut waves = Waves::default();
-
-    // Line 4: main loop.
-    while let Some(first) = frontier.pop(&arena.removed) {
-        let mut id = first;
-        // `known_yes` models the sibling substitution of line 12: after a
-        // *no* at one child, the other child of a *yes* parent must contain
-        // a member, so it is processed without issuing a task.
-        let mut known_yes = false;
+    /// Runs Algorithm 1 (line 4's main loop) on the answers the run holds.
+    /// Returns how the run ended, or `None` when it needs the answers to
+    /// [`wave`](Self::wave) first. Once it has returned a result the run
+    /// is spent.
+    pub(crate) fn advance(&mut self) -> Option<RunResult> {
         loop {
-            let node = arena.nodes[id as usize];
-            let ans = if known_yes {
-                true
-            } else {
-                if node.held == Held::Unasked {
-                    let wave = certain_wave(&arena, &frontier, id, cnt, tau, config.traversal);
-                    let sets: Vec<&[ObjectId]> = wave
-                        .iter()
-                        .map(|&w| {
-                            let node = arena.nodes[w as usize];
-                            &pool[node.b as usize..node.e as usize]
-                        })
-                        .collect();
-                    let held = waves.ask(engine, &sets, target);
-                    for (&w, held) in wave.iter().zip(held) {
-                        arena.nodes[w as usize].held = held;
-                    }
-                }
-                try_ask!(
-                    waves.answer(arena.nodes[id as usize].held),
-                    GroupCoverageOutcome {
-                        covered: false,
-                        count: cnt,
-                        set_queries: engine.ledger().since(&before).set_queries(),
-                        witnesses,
-                    }
-                )
+            let id = match self.head.take() {
+                Some(id) => id,
+                None => match self.frontier.pop(&self.arena.removed) {
+                    Some(id) => id,
+                    // Line 21: frontier exhausted below threshold —
+                    // uncovered, `cnt` exact (or τ = 0: covered).
+                    None => return Some(Ok(self.outcome(self.cnt >= self.tau))),
+                },
             };
-            arena.nodes[id as usize].done = true;
-
-            if node.is_root() {
-                if !ans {
-                    break; // line 9: prune the whole root set
+            let held = self.arena.nodes[id as usize].held;
+            if held == Held::Unasked {
+                self.wave = certain_wave(
+                    &self.arena,
+                    &self.frontier,
+                    id,
+                    self.cnt,
+                    self.tau,
+                    self.config.traversal,
+                );
+                self.head = Some(id);
+                return None;
+            }
+            let answer = match self.waves.answer(held) {
+                Ok(answer) => answer,
+                Err(error) => {
+                    return Some(Err(Interrupted {
+                        error,
+                        partial: self.outcome(false),
+                    }))
                 }
-                cnt += 1;
-            } else if !ans {
+            };
+            if self.settle(id, answer) {
+                return Some(Ok(self.outcome(true)));
+            }
+        }
+    }
+
+    /// The sets of the wave the run waits for, in order.
+    pub(crate) fn wave(&self) -> impl ExactSizeIterator<Item = &'p [ObjectId]> + '_ {
+        let pool = self.pool;
+        self.wave.iter().map(move |&id| {
+            let node = self.arena.nodes[id as usize];
+            &pool[node.b as usize..node.e as usize]
+        })
+    }
+
+    /// Hands the run what its wave's request delivered: one slot per set
+    /// of [`wave`](Self::wave), in order, and the error that left any slot
+    /// empty. Every delivered set counts as one of the run's set queries,
+    /// whether the run gets to consume it or not.
+    pub(crate) fn deliver(&mut self, slots: &[Option<bool>], error: Option<&AskError>) {
+        debug_assert_eq!(slots.len(), self.wave.len(), "one slot per wave set");
+        self.set_queries += slots.iter().filter(|slot| slot.is_some()).count() as u64;
+        let held = self.waves.record(slots, error);
+        for (&id, held) in self.wave.iter().zip(held) {
+            self.arena.nodes[id as usize].held = held;
+        }
+        self.wave.clear();
+    }
+
+    /// Lines 5-20 for node `id` answered `answer`; true as soon as the
+    /// lower bound proves coverage (line 16).
+    fn settle(&mut self, mut id: u32, mut answer: bool) -> bool {
+        let arena = &mut self.arena;
+        loop {
+            arena.nodes[id as usize].done = true;
+            let node = arena.nodes[id as usize];
+            if node.is_root() {
+                if !answer {
+                    return false; // line 9: prune the whole root set
+                }
+                self.cnt += 1;
+            } else if !answer {
                 // Lines 11-13.
                 let sib = node.sibling;
                 debug_assert_ne!(sib, NO_NODE);
                 if arena.nodes[sib as usize].done {
                     // The sibling already answered yes earlier; nothing new.
-                    break;
+                    return false;
                 }
-                // Substitute the sibling, consuming it from the frontier
-                // without issuing a task (its answer is implied).
+                // The sibling substitution of line 12: after a *no* at one
+                // child, the other child of a *yes* parent must contain a
+                // member, so it is consumed from the frontier and processed
+                // as a *yes* without issuing a task.
                 arena.removed[sib as usize] = true;
                 id = sib;
-                known_yes = true;
+                answer = true;
                 continue;
             } else {
                 // Lines 14-15: both-children-yes raises the lower bound.
                 let parent = node.parent as usize;
                 if arena.nodes[parent].checked {
-                    cnt += 1;
+                    self.cnt += 1;
                 } else {
                     arena.nodes[parent].checked = true;
                 }
             }
-
-            // Re-read: `node` may be the substituted sibling now.
-            let node = arena.nodes[id as usize];
-            if config.collect_witnesses && node.len() == 1 {
-                witnesses.push(pool[node.b as usize]);
+            if self.config.collect_witnesses && node.len() == 1 {
+                self.witnesses.push(self.pool[node.b as usize]);
             }
-
             // Line 16: stop as soon as the lower bound proves coverage.
-            if cnt >= tau {
-                let used = engine.ledger().since(&before).set_queries();
-                return Ok(GroupCoverageOutcome {
-                    covered: true,
-                    count: cnt,
-                    set_queries: used,
-                    witnesses,
-                });
+            if self.cnt >= self.tau {
+                return true;
             }
-
             // Lines 17-20: split yes-sets larger than one.
             if node.len() > 1 {
                 let (left, right) = arena.split(id);
-                frontier.push(left);
-                frontier.push(right);
+                self.frontier.push(left);
+                self.frontier.push(right);
             }
-            break;
+            return false;
         }
     }
 
-    // Line 21: frontier exhausted below threshold — uncovered, `cnt` exact.
-    let used = engine.ledger().since(&before).set_queries();
-    Ok(GroupCoverageOutcome {
-        covered: false,
-        count: cnt,
-        set_queries: used,
-        witnesses,
-    })
+    /// The run's outcome so far; takes the witnesses, so the run is spent.
+    fn outcome(&mut self, covered: bool) -> GroupCoverageOutcome {
+        GroupCoverageOutcome {
+            covered,
+            count: self.cnt,
+            set_queries: self.set_queries,
+            witnesses: std::mem::take(&mut self.witnesses),
+        }
+    }
 }
 
 /// The wave headed by `head`, the node just popped: `head` plus every
@@ -730,9 +818,9 @@ pub(crate) mod tests {
             self.inner.try_answer_point_labels(object)
         }
 
-        fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+        fn try_answer_sets_many(&mut self, sets: &[SetQuery<'_>]) -> SetBatch {
             self.requests += 1;
-            Batch::one_at_a_time(sets, |objects| self.answer(objects, target))
+            Batch::one_at_a_time(sets, |(objects, target)| self.answer(objects, target))
         }
     }
 

@@ -8,13 +8,16 @@
 //! for uncovered subgroups plus "covered" flags for the rest decide every
 //! ancestor without further crowd work. The uncovered region is reported as
 //! maximal uncovered patterns (MUPs).
+//!
+//! The fully-specified cells are scanned by Alg. 2's interleaved scan (see
+//! [`multiple`](mod@crate::multiple)): every live super-group's next wave
+//! shares one set request per step, so a high-arity audit costs the crowd
+//! rounds of its longest Group-Coverage run, not the sum over its cells.
 
-use crate::engine::{AnswerSource, Engine, ForkableSource, ObjectId};
+use crate::engine::{AnswerSource, Engine, ObjectId};
 use crate::error::Interrupted;
 use crate::ledger::TaskLedger;
-use crate::multiple::{
-    multiple_coverage, multiple_coverage_par, GroupResult, IntraJobParallelism, MultipleConfig,
-};
+use crate::multiple::{multiple_coverage, GroupResult, MultipleConfig};
 use crate::pattern::Pattern;
 use crate::pattern_graph::PatternGraph;
 use crate::schema::AttributeSchema;
@@ -187,39 +190,6 @@ pub fn intersectional_coverage<S: AnswerSource, R: Rng + ?Sized>(
     }
 }
 
-/// [`intersectional_coverage`] with the fully-specified-subgroup scan
-/// sharded across `parallelism` threads inside this one audit (via
-/// [`multiple_coverage_par`]); verdicts, counts, MUPs and the logical
-/// ledger are byte-identical to the sequential run for any worker count.
-///
-/// # Panics
-/// Panics when `cfg.n == 0`.
-///
-/// # Errors
-/// As [`intersectional_coverage`].
-#[allow(clippy::result_large_err)]
-pub fn intersectional_coverage_par<S: ForkableSource, R: Rng + ?Sized>(
-    engine: &mut Engine<S>,
-    pool: &[ObjectId],
-    schema: &AttributeSchema,
-    cfg: &MultipleConfig,
-    rng: &mut R,
-    parallelism: IntraJobParallelism,
-) -> Result<IntersectionalReport, Interrupted<IntersectionalReport>> {
-    let mut cfg = cfg.clone();
-    cfg.multi = true;
-    cfg.resolve_supergroup_members = true;
-
-    let graph = PatternGraph::new(schema);
-    let full_groups: Vec<Pattern> = graph.full_groups().to_vec();
-    match multiple_coverage_par(engine, pool, &full_groups, &cfg, rng, parallelism) {
-        Ok(report) => Ok(propagate(&graph, report, cfg.tau)),
-        Err(interrupted) => {
-            Err(interrupted.map_partial(|partial| propagate(&graph, partial, cfg.tau)))
-        }
-    }
-}
-
 /// Per-pattern aggregate over fully-specified descendants, composed
 /// bottom-up: AND/OR/sum are associative and commutative with the right
 /// neutral elements, so combining prime children reproduces the flat
@@ -337,13 +307,46 @@ fn propagate(
     IntersectionalReport::new(report.results, patterns, mups, report.tasks)
 }
 
+/// [`intersectional_coverage`] on the sequential scan the interleaved one
+/// replaced ([`crate::multiple::multiple_coverage_sequential`]); also
+/// returns how many scan items asked a set query.
+#[cfg(test)]
+#[allow(clippy::result_large_err)]
+fn intersectional_coverage_sequential<S: AnswerSource, R: Rng + ?Sized>(
+    engine: &mut Engine<S>,
+    pool: &[ObjectId],
+    schema: &AttributeSchema,
+    cfg: &MultipleConfig,
+    rng: &mut R,
+) -> (
+    Result<IntersectionalReport, Interrupted<IntersectionalReport>>,
+    usize,
+) {
+    let mut cfg = cfg.clone();
+    cfg.multi = true;
+    cfg.resolve_supergroup_members = true;
+    let graph = PatternGraph::new(schema);
+    let full_groups: Vec<Pattern> = graph.full_groups().to_vec();
+    let (result, asking) =
+        crate::multiple::multiple_coverage_sequential(engine, pool, &full_groups, &cfg, rng);
+    let result = match result {
+        Ok(report) => Ok(propagate(&graph, report, cfg.tau)),
+        Err(interrupted) => {
+            Err(interrupted.map_partial(|partial| propagate(&graph, partial, cfg.tau)))
+        }
+    };
+    (result, asking)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::GroundTruth;
     use crate::engine::{PerfectSource, VecGroundTruth};
+    use crate::multiple::tests::QuestionLog;
     use crate::mup::mups_from_labels;
     use crate::schema::{Attribute, Labels};
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -499,5 +502,117 @@ mod tests {
         assert!(!cov.covered);
         assert!(cov.exact);
         assert_eq!(cov.count, 19);
+    }
+
+    /// Interleaved dataset with `counts[k]` objects in the `k`-th
+    /// fully-specified cell of `schema` (in `full_groups()` order).
+    fn truth_cells(schema: &AttributeSchema, counts: &[usize]) -> VecGroundTruth {
+        let cells: Vec<Labels> = schema
+            .full_groups()
+            .iter()
+            .map(|p| {
+                let values: Vec<u8> = (0..p.d())
+                    .map(|i| p.get(i).expect("fully specified"))
+                    .collect();
+                Labels::new(&values)
+            })
+            .collect();
+        let mut remaining = counts.to_vec();
+        let mut labels = Vec::new();
+        while remaining.iter().any(|c| *c > 0) {
+            for (cell, c) in cells.iter().zip(&mut remaining) {
+                if *c > 0 {
+                    labels.push(*cell);
+                    *c -= 1;
+                }
+            }
+        }
+        VecGroundTruth::new(labels)
+    }
+
+    /// Runs the interleaved and the sequential scan on the same input and
+    /// checks they decide the same: report JSON, ledger and the multiset
+    /// of asked `(set, target)` questions. Returns (requests, sequential
+    /// requests, items that asked a set query).
+    fn compare_with_sequential(
+        truth: &VecGroundTruth,
+        schema: &AttributeSchema,
+        cfg: &MultipleConfig,
+        seed: u64,
+    ) -> (usize, usize, usize) {
+        let pool = truth.all_ids();
+        let mut engine = Engine::with_point_batch(QuestionLog::new(truth), cfg.n);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let interleaved =
+            intersectional_coverage(&mut engine, &pool, schema, cfg, &mut rng).unwrap();
+        let mut oracle = Engine::with_point_batch(QuestionLog::new(truth), cfg.n);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (sequential, asking) =
+            intersectional_coverage_sequential(&mut oracle, &pool, schema, cfg, &mut rng);
+        assert_eq!(
+            serde_json::to_string(&interleaved).unwrap(),
+            serde_json::to_string(&sequential.unwrap()).unwrap()
+        );
+        assert_eq!(engine.ledger(), oracle.ledger());
+        assert_eq!(engine.source().multiset(), oracle.source().multiset());
+        (engine.source().requests, oracle.source().requests, asking)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Algorithm 3 on the interleaved scan reports what it reports on
+        /// the sequential scan, asks the same questions, never takes more
+        /// requests, and takes fewer as soon as two items ask a set query.
+        #[test]
+        fn prop_interleaved_lattice_matches_the_sequential_scan(
+            counts in proptest::collection::vec(0usize..120, 8),
+            tau in 5usize..70,
+            n in 1usize..60,
+            seed in 0u64..10_000,
+        ) {
+            let schema = AttributeSchema::new(vec![
+                Attribute::binary("a", "0", "1").unwrap(),
+                Attribute::new("b", ["0", "1", "2", "3"]).unwrap(),
+            ])
+            .unwrap();
+            let truth = truth_cells(&schema, &counts);
+            let cfg = MultipleConfig { tau, n, ..MultipleConfig::default() };
+            let (requests, oracle_requests, asking) =
+                compare_with_sequential(&truth, &schema, &cfg, seed);
+            prop_assert!(requests <= oracle_requests);
+            if asking >= 2 {
+                prop_assert!(requests < oracle_requests, "{requests} vs {oracle_requests}");
+            }
+        }
+    }
+
+    /// The 24-cell giant-audit census (gender × race × age, the cell
+    /// counts of the `cvg-bench` giant-audit scenario): the interleaved
+    /// scan decides what the sequential scan decides, in a fraction of its
+    /// requests.
+    #[test]
+    fn giant_audit_schema_takes_fewer_requests_than_the_sequential_scan() {
+        let schema = AttributeSchema::new(vec![
+            Attribute::binary("gender", "male", "female").unwrap(),
+            Attribute::new("race", ["white", "black", "hispanic", "asian"]).unwrap(),
+            Attribute::new("age", ["child", "adult", "senior"]).unwrap(),
+        ])
+        .unwrap();
+        let counts = [
+            700, 90, 75, 110, 18, 85, 95, 12, 70, 80, 10, 65, // male
+            650, 100, 80, 105, 15, 90, 85, 8, 75, 70, 14, 60, // female
+        ];
+        let truth = truth_cells(&schema, &counts);
+        let cfg = MultipleConfig {
+            tau: 50,
+            ..MultipleConfig::default()
+        };
+        let (requests, oracle_requests, asking) = compare_with_sequential(&truth, &schema, &cfg, 5);
+        assert!(asking >= 2, "{asking} items asked");
+        assert!(
+            2 * requests < oracle_requests,
+            "interleaved {requests} requests, sequential {oracle_requests}"
+        );
     }
 }

@@ -96,24 +96,19 @@ pub mod prelude {
         classifier_coverage, ClassifierConfig, ClassifierOutcome, FpElimination,
     };
     pub use crate::engine::{
-        AnswerSource, Batch, BatchAnswerSource, CancelToken, Engine, ForkableSource, GroundTruth,
-        InfallibleSource, LabelBatch, ObjectId, ObjectIds, PerfectSource, SetBatch,
-        SharedTruthSource, VecGroundTruth,
+        AnswerSource, Batch, BatchAnswerSource, CancelToken, Engine, GroundTruth, InfallibleSource,
+        LabelBatch, ObjectId, ObjectIds, PerfectSource, SetBatch, SetQuery, SharedTruthSource,
+        VecGroundTruth,
     };
     pub use crate::error::{AskError, BudgetSnapshot, CoverageError, Interrupted};
     pub use crate::group_coverage::{group_coverage, DncConfig, GroupCoverageOutcome, Traversal};
-    pub use crate::intersectional::{
-        intersectional_coverage, intersectional_coverage_par, IntersectionalReport,
-    };
+    pub use crate::intersectional::{intersectional_coverage, IntersectionalReport};
     pub use crate::ledger::{PricingModel, TaskLedger};
     pub use crate::memo::{
         FactSink, FactSpill, KnowledgeStore, MemoizedSource, ReuseStats, SetResolution,
         SharedKnowledgeSource,
     };
-    pub use crate::multiple::{
-        multiple_coverage, multiple_coverage_par, GroupResult, IntraJobParallelism, MultipleConfig,
-        MultipleReport,
-    };
+    pub use crate::multiple::{multiple_coverage, GroupResult, MultipleConfig, MultipleReport};
     pub use crate::mup::{mups_from_counts, mups_from_counts_baseline, mups_from_labels};
     pub use crate::pattern::Pattern;
     pub use crate::pattern_graph::{PatternGraph, PatternId};

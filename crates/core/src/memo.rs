@@ -47,18 +47,17 @@
 //!
 //! ## Requests
 //!
-//! Questions arrive one at a time, as a point-label batch, or as a
-//! set-query wave ([`AnswerSource::try_answer_sets_many`]).
-//! [`SharedKnowledgeSource`] keeps one claim path per shape: a lone label
-//! is a batch of one, a lone set a wave of one. It resolves a request
-//! question by question, claims the undecided ones no other handle has in
-//! flight, forwards them as one request, and commits every answer that
-//! arrived even when the rest failed. Only then does it wait out the
+//! Questions arrive one at a time, as a point-label batch, or as a set
+//! request ([`AnswerSource::try_answer_sets_many`]) whose sets may each ask
+//! about another target. [`SharedKnowledgeSource`] keeps one claim path per
+//! shape: a lone label is a batch of one, a lone set a request of one, and
+//! each set is claimed and committed under its own target. It resolves a
+//! request question by question, claims the undecided ones no other handle
+//! has in flight, forwards them as one request, and commits every answer
+//! that arrived even when the rest failed. Only then does it wait out the
 //! questions other handles had in flight.
 
-use crate::engine::{
-    AnswerSource, BatchAnswerSource, ForkableSource, LabelBatch, ObjectId, SetBatch,
-};
+use crate::engine::{AnswerSource, BatchAnswerSource, LabelBatch, ObjectId, SetBatch, SetQuery};
 use crate::error::AskError;
 use crate::schema::Labels;
 use crate::target::Target;
@@ -88,9 +87,8 @@ impl ReuseStats {
         self.hits + self.forwarded
     }
 
-    /// Adds another tally into this one (e.g. folding a forked handle's
-    /// local stats back into its parent when an intra-audit parallel scan
-    /// joins).
+    /// Adds another tally into this one (e.g. summing the tallies of
+    /// several jobs).
     pub fn absorb(&mut self, other: &ReuseStats) {
         self.hits += other.hits;
         self.narrowed += other.narrowed;
@@ -890,22 +888,21 @@ impl ShardedKnowledge {
     }
 }
 
-/// Releases every set query a wave claimed but did not commit, and wakes
-/// each one's stripe — on an `Err` from the inner source or a genuine
-/// panic; a waiter then re-claims the question instead of blocking
+/// Releases every set query a request claimed but did not commit, and
+/// wakes each one's stripe — on an `Err` from the inner source or a
+/// genuine panic; a waiter then re-claims the question instead of blocking
 /// forever.
 struct SetFlightGuard<'a> {
     shared: &'a ShardedKnowledge,
-    target: &'a Target,
-    sets: Vec<&'a [ObjectId]>,
+    sets: Vec<SetQuery<'a>>,
 }
 
 impl Drop for SetFlightGuard<'_> {
     fn drop(&mut self) {
-        for objects in self.sets.drain(..) {
-            let stripe = self.shared.set_stripe(objects, self.target);
+        for (objects, target) in self.sets.drain(..) {
+            let stripe = self.shared.set_stripe(objects, target);
             let mut state = stripe.lock();
-            state.release(objects, self.target);
+            state.release(objects, target);
             drop(state);
             stripe.ready.notify_all();
         }
@@ -1185,31 +1182,19 @@ impl<S> SharedKnowledgeSource<S> {
     }
 }
 
-/// Intra-audit parallel scans fork a handle per worker (sharing the fact
-/// base) and fold each worker's local tally back in at the join, so
-/// per-job reuse accounting stays complete.
-impl<S: AnswerSource + Clone + Send> ForkableSource for SharedKnowledgeSource<S> {
-    fn fork(&self) -> Self {
-        self.clone()
-    }
-
-    fn join(&mut self, forked: Self) {
-        self.local.absorb(&forked.local);
-    }
-}
-
 impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
     fn try_answer_set(&mut self, objects: &[ObjectId], target: &Target) -> Result<bool, AskError> {
-        self.try_answer_sets_many(&[objects], target)
+        self.try_answer_sets_many(&[(objects, target)])
             .into_result()
             .map(|answers| answers[0])
     }
 
     /// Serves the sets the store decides, claims the undecided ones no
     /// other handle has in flight and forwards their residuals to the inner
-    /// source as **one** request. Every verdict it delivered is committed,
-    /// even when the rest of the wave failed or was refused; the
-    /// unanswered claims are released and their waiters woken.
+    /// source as **one** request, each set under its own target. Every
+    /// verdict it delivered is committed, even when the rest of the request
+    /// failed or was refused; the unanswered claims are released and their
+    /// waiters woken.
     ///
     /// A set is decided by an exact verdict or by object facts (a known
     /// member, or only known non-members), and both count as hits. The
@@ -1222,7 +1207,7 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
     /// any whose flight failed as one more request. So no set is forwarded
     /// twice at once, and two handles waiting on each other's claims cannot
     /// deadlock.
-    fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+    fn try_answer_sets_many(&mut self, sets: &[SetQuery<'_>]) -> SetBatch {
         let shared = Arc::clone(&self.shared);
         let mut answers: Vec<Option<bool>> = vec![None; sets.len()];
         let mut pending: Vec<usize> = (0..sets.len()).collect();
@@ -1231,7 +1216,7 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
             let mut claimed: Vec<(usize, Vec<ObjectId>, usize)> = Vec::new();
             let mut deferred: Vec<usize> = Vec::new();
             for i in pending {
-                let objects = sets[i];
+                let (objects, target) = sets[i];
                 let stripe = shared.set_stripe(objects, target);
                 // Exact whole-query verdict first (one stripe lock), then
                 // the object-level facts (shard locks, one at a time).
@@ -1263,20 +1248,19 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
             if !claimed.is_empty() {
                 let mut guard = SetFlightGuard {
                     shared: &shared,
-                    target,
                     sets: claimed.iter().map(|(i, ..)| sets[*i]).collect(),
                 };
-                let residuals: Vec<&[ObjectId]> = claimed
+                let residuals: Vec<SetQuery> = claimed
                     .iter()
-                    .map(|(_, residual, _)| &residual[..])
+                    .map(|(i, residual, _)| (&residual[..], sets[*i].1))
                     .collect();
-                let fresh = self.inner.try_answer_sets_many(&residuals, target);
-                let mut unanswered: Vec<&[ObjectId]> = Vec::new();
+                let fresh = self.inner.try_answer_sets_many(&residuals);
+                let mut unanswered: Vec<SetQuery> = Vec::new();
                 let mut committed: Vec<(usize, &[ObjectId], bool)> = Vec::new();
                 for ((i, residual, pruned), answer) in claimed.iter().zip(fresh.slots) {
-                    let objects = sets[*i];
+                    let (objects, target) = sets[*i];
                     let Some(answer) = answer else {
-                        unanswered.push(objects);
+                        unanswered.push(sets[*i]);
                         continue;
                     };
                     let stripe = shared.set_stripe(objects, target);
@@ -1302,7 +1286,8 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
                 drop(guard);
                 if let Some(sink) = shared.sink.get() {
                     for (i, residual, answer) in committed {
-                        sink.on_set_verdict(sets[i], residual, target, answer);
+                        let (objects, target) = sets[i];
+                        sink.on_set_verdict(objects, residual, target, answer);
                     }
                 }
                 if let Some(error) = fresh.error {
@@ -1313,9 +1298,10 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
                 }
             }
             for &i in &deferred {
-                let stripe = shared.set_stripe(sets[i], target);
+                let (objects, target) = sets[i];
+                let stripe = shared.set_stripe(objects, target);
                 let mut state = stripe.lock();
-                while state.is_in_flight(sets[i], target) {
+                while state.is_in_flight(objects, target) {
                     state = stripe
                         .ready
                         .wait(state)
@@ -1503,9 +1489,9 @@ mod tests {
             self.inner.try_answer_point_labels(object)
         }
 
-        fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+        fn try_answer_sets_many(&mut self, sets: &[SetQuery<'_>]) -> SetBatch {
             self.wave_requests += 1;
-            crate::engine::Batch::one_at_a_time(sets, |objects| {
+            crate::engine::Batch::one_at_a_time(sets, |(objects, target)| {
                 self.try_answer_set(objects, target)
             })
         }
@@ -1875,7 +1861,7 @@ mod tests {
             objects: &[ObjectId],
             target: &Target,
         ) -> Result<bool, AskError> {
-            self.try_answer_sets_many(&[objects], target)
+            self.try_answer_sets_many(&[(objects, target)])
                 .into_result()
                 .map(|answers| answers[0])
         }
@@ -1884,16 +1870,16 @@ mod tests {
             self.inner.try_answer_point_labels(object)
         }
 
-        fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+        fn try_answer_sets_many(&mut self, sets: &[SetQuery<'_>]) -> SetBatch {
             std::thread::sleep(std::time::Duration::from_millis(2));
             let mut asked = self.asked.lock().unwrap();
-            for objects in sets {
+            for (objects, _) in sets {
                 *asked.entry(objects.to_vec()).or_default() += 1;
             }
             SetBatch {
                 slots: sets
                     .iter()
-                    .map(|objects| self.inner.try_answer_set(objects, target).ok())
+                    .map(|(objects, target)| self.inner.try_answer_set(objects, target).ok())
                     .collect(),
                 error: None,
             }
@@ -1927,7 +1913,9 @@ mod tests {
                 let (barrier, t, female) = (&barrier, &t, &female);
                 scope.spawn(move || {
                     barrier.wait();
-                    let answers = handle.try_answer_sets_many(wave, female);
+                    let queries: Vec<SetQuery> =
+                        wave.iter().map(|objects| (*objects, female)).collect();
+                    let answers = handle.try_answer_sets_many(&queries);
                     let mut raw = PerfectSource::new(t);
                     let expected: Vec<Option<bool>> = wave
                         .iter()
@@ -1957,8 +1945,8 @@ mod tests {
         let mut src = SharedKnowledgeSource::new(SpySource::new(&t));
         src.try_answer_point_labels(ObjectId(0)).unwrap(); // a member
         src.try_answer_point_labels(ObjectId(15)).unwrap(); // a non-member
-        let wave = [&ids[0..5], &ids[10..20], &ids[20..30], &ids[0..5]];
-        let answers = src.try_answer_sets_many(&wave, &female);
+        let wave = [&ids[0..5], &ids[10..20], &ids[20..30], &ids[0..5]].map(|set| (set, &female));
+        let answers = src.try_answer_sets_many(&wave);
         assert_eq!(answers.into_result(), Ok(vec![true, false, false, true]));
         let narrowed: Vec<ObjectId> = ids[10..20]
             .iter()
@@ -1987,14 +1975,14 @@ mod tests {
             inner: PerfectSource::new(&t),
             allow: 2,
         });
-        let sets: Vec<&[ObjectId]> = ids.chunks(10).collect();
-        let wave = failing.try_answer_sets_many(&sets, &female);
+        let sets: Vec<SetQuery> = ids.chunks(10).map(|set| (set, &female)).collect();
+        let wave = failing.try_answer_sets_many(&sets);
         assert_eq!(wave.slots, vec![Some(true), Some(false), None, None]);
         assert!(matches!(wave.error, Some(AskError::SourceFailed(_))));
         assert_eq!(sink.replayed.lock().unwrap().set_verdicts_known(), 2);
 
         let mut healthy = root.clone();
-        let answers = healthy.try_answer_sets_many(&sets, &female);
+        let answers = healthy.try_answer_sets_many(&sets);
         assert_eq!(answers.into_result(), Ok(vec![true, false, false, false]));
         let stats = healthy.local_reuse_stats();
         assert_eq!((stats.hits, stats.forwarded), (2, 2));
@@ -2144,25 +2132,50 @@ mod tests {
         }
     }
 
-    /// Forked handles share the fact base; joining folds the fork's local
-    /// tally back so per-job accounting stays complete.
+    /// One request may ask about several targets: each set is resolved,
+    /// claimed and committed under its own target, so the same objects
+    /// asked about two targets are two questions, and a fact about one
+    /// target decides nothing about the other.
     #[test]
-    fn fork_and_join_merge_local_tallies() {
-        use crate::engine::ForkableSource;
-        let t = truth(40, 10);
+    fn a_request_claims_and_commits_each_set_under_its_own_target() {
+        let t = truth(40, 3); // members of "1": 0, 1, 2
         let female = Target::group(Pattern::parse("1").unwrap());
+        let male = Target::group(Pattern::parse("0").unwrap());
         let ids = t.all_ids();
-        let mut root = SharedKnowledgeSource::new(PerfectSource::new(&t));
-        root.try_answer_set(&ids[..10], &female).unwrap();
-        let mut fork = root.fork();
-        assert_eq!(fork.local_reuse_stats(), ReuseStats::default());
-        fork.try_answer_set(&ids[..10], &female).unwrap(); // hit via shared facts
-        fork.try_answer_set(&ids[10..], &female).unwrap(); // fresh forward
-        root.join(fork);
-        let local = root.local_reuse_stats();
-        assert_eq!(local.hits, 1);
-        assert_eq!(local.forwarded, 2);
-        assert_eq!(root.reuse_stats(), local, "one handle saw all traffic");
+        let mut src = SharedKnowledgeSource::with_shards(SpySource::new(&t), 1);
+        let request = [
+            (&ids[0..10], &female),
+            (&ids[0..10], &male),
+            (&ids[10..20], &female),
+        ];
+        let answers = src.try_answer_sets_many(&request);
+        assert_eq!(answers.into_result(), Ok(vec![true, true, false]));
+        assert_eq!(src.inner().wave_requests, 1);
+        assert_eq!(src.inner().asked_sets.len(), 3);
+        let store = src.store_snapshot();
+        assert_eq!(
+            store.resolve_set(&ids[0..10], &female),
+            SetResolution::Known(true)
+        );
+        assert_eq!(
+            store.resolve_set(&ids[0..10], &male),
+            SetResolution::Known(true)
+        );
+        // The female *no* on 10..20 is a fact about female only.
+        assert_eq!(
+            store.resolve_set(&ids[10..20], &female),
+            SetResolution::Known(false)
+        );
+        assert!(matches!(
+            store.resolve_set(&ids[10..20], &male),
+            SetResolution::Ask { .. }
+        ));
+        // Asked again, all three are hits.
+        let again = src.try_answer_sets_many(&request);
+        assert_eq!(again.into_result(), Ok(vec![true, true, false]));
+        assert_eq!(src.inner().wave_requests, 1);
+        let stats = src.local_reuse_stats();
+        assert_eq!((stats.hits, stats.forwarded), (3, 3));
     }
 
     /// The serde surface round-trips every kind of fact exactly.

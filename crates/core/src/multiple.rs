@@ -9,60 +9,49 @@
 //! while a covered super-group pays a penalty (each member must be re-run
 //! individually, §4's "drawback").
 //!
-//! ## Scan independence & intra-audit parallelism
+//! ## The interleaved scan
 //!
 //! Every super-group in step (3) is decided from the **phase-1 state**
 //! alone — the sampled label store `L` and the residual pool — never from
 //! another super-group's intermediate results (super-groups partition the
 //! groups, so one super-group's witnesses can neither match nor mis-count
-//! another's members). That makes the scan a set of independent work items:
-//! [`multiple_coverage`] runs them in submission order on the caller's
-//! engine, and [`multiple_coverage_par`] shards the very same items across
-//! [`IntraJobParallelism`] worker threads inside one audit, each asking
-//! through a fork of the job's source (see
-//! [`ForkableSource`]). Because each item's
-//! control flow depends only on the (consistent) source's answers, verdicts,
-//! counts **and the logical ledger** are byte-identical for any worker
-//! count; only wall-clock changes.
+//! another's members). So the scan items are independent, and
+//! [`multiple_coverage`] drives all of them from one loop. Each item is a
+//! small state machine over resumable Group-Coverage runs:
+//!
+//! * a singleton runs one Group-Coverage run for its group;
+//! * a multi-member super-group runs its union first;
+//! * if the union is covered, every member's penalty re-run goes live at
+//!   once;
+//! * if the union is uncovered, the item asks its witness-label batch
+//!   (when resolving members) and is done.
+//!
+//! Each step advances every live run on the answers it holds. An item
+//! whose union just ended uncovered sends its witness labels as a request
+//! of its own, so it keeps its own `⌈k/n⌉` charge. Then the next wave of
+//! every live run goes out as **one** set request ([`Engine::ask_sets`]),
+//! in super-group order and member order within an item. A serving layer
+//! answers that request in one platform round, so a scan costs the rounds
+//! of its longest run, not the sum over its items.
+//!
+//! Each run asks exactly the questions it would ask alone, so verdicts,
+//! counts and the logical ledger are those of a scan that decides the
+//! items one after another. The request order is fixed, so the crowd bill
+//! of a job running alone is a fixed function of its inputs. A run whose
+//! slot comes back empty stops with that error and the others go on:
+//! groups decidable without the refused crowd work still land in the
+//! partial report, and the reported error is the earliest super-group's.
 
 use crate::aggregate::{aggregate, SuperGroup};
-use crate::engine::{AnswerSource, Engine, ForkableSource, ObjectId};
+use crate::engine::{AnswerSource, Engine, ObjectId, SetQuery};
 use crate::error::{try_ask, AskError, Interrupted};
-use crate::group_coverage::{group_coverage, DncConfig};
+use crate::group_coverage::{DncConfig, GroupCoverageRun};
 use crate::ledger::TaskLedger;
 use crate::pattern::Pattern;
 use crate::sampling::{label_samples, LabeledStore};
 use crate::target::Target;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::sync::{Mutex, PoisonError};
-
-/// How many worker threads one audit may use for its super-group scan.
-///
-/// `1` (the default) keeps the scan on the calling thread; higher values
-/// let [`multiple_coverage_par`] / `intersectional_coverage_par` run that
-/// many scan items concurrently inside a single job — the scale-out knob
-/// the `coverage-service` plumbs through
-/// `JobSpec` for one giant audit. Whatever the value, outcomes and logical
-/// ledgers are byte-identical; see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IntraJobParallelism(pub usize);
-
-impl IntraJobParallelism {
-    /// The sequential default.
-    pub const SERIAL: IntraJobParallelism = IntraJobParallelism(1);
-
-    /// The effective worker count: at least one.
-    pub fn workers(self) -> usize {
-        self.0.max(1)
-    }
-}
-
-impl Default for IntraJobParallelism {
-    fn default() -> Self {
-        Self::SERIAL
-    }
-}
 
 /// Parameters for [`multiple_coverage`] (and, via the intersectional
 /// wrapper, Algorithm 3).
@@ -188,136 +177,54 @@ pub fn multiple_coverage<S: AnswerSource, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<MultipleReport, Interrupted<MultipleReport>> {
     let phase1 = phase_one(engine, pool, groups, cfg, rng)?;
-
-    // Step (3): scan the super-groups in order on the caller's engine.
-    let (results, first_error) = scan_serial(engine, &phase1, cfg);
+    let (results, first_error) = scan(engine, &phase1, cfg);
     finish_scan(engine, groups, phase1, results, first_error)
 }
 
-/// [`multiple_coverage`] with the super-group scan sharded across
-/// `parallelism` worker threads inside this one audit.
-///
-/// Each worker asks through a [fork](ForkableSource::fork) of the job's
-/// source and meters a private engine; when the scan joins, worker ledgers
-/// are folded back into `engine` **in super-group order** and forks are
-/// [joined](ForkableSource::join) so per-handle reuse tallies survive.
-/// Outcomes and the merged logical ledger are byte-identical to the
-/// sequential scan for any worker count (see the module docs); under a
-/// *shared* budget the partial outcome of an exhausted run may differ in
-/// which groups got decided first, but every reported verdict is still
-/// exact.
-///
-/// # Panics
-/// Panics when `groups` is empty or `cfg.n == 0`.
-///
-/// # Errors
-/// As [`multiple_coverage`]; with several failing items the error of the
-/// earliest super-group (submission order) is reported.
-pub fn multiple_coverage_par<S: ForkableSource, R: Rng + ?Sized>(
-    engine: &mut Engine<S>,
-    pool: &[ObjectId],
-    groups: &[Pattern],
-    cfg: &MultipleConfig,
-    rng: &mut R,
-    parallelism: IntraJobParallelism,
-) -> Result<MultipleReport, Interrupted<MultipleReport>> {
-    let phase1 = phase_one(engine, pool, groups, cfg, rng)?;
-    let workers = parallelism.workers().min(phase1.super_groups.len()).max(1);
-    if workers <= 1 {
-        // Degenerate scan: the sequential driver, literally.
-        let (results, first_error) = scan_serial(engine, &phase1, cfg);
-        return finish_scan(engine, groups, phase1, results, first_error);
-    }
-
-    let cancel = engine.cancel_token();
-    let point_batch = engine.point_batch();
-    let forks: Vec<S> = (0..workers).map(|_| engine.source().fork()).collect();
-    let next_item = Mutex::new(0usize);
-    let mut slots: Vec<Option<(ScanItem, TaskLedger)>> =
-        (0..phase1.super_groups.len()).map(|_| None).collect();
-
-    let worker_outputs: Vec<WorkerOutput<S>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = forks
-            .into_iter()
-            .map(|fork| {
-                let next_item = &next_item;
-                let phase1 = &phase1;
-                let cancel = cancel.clone();
-                scope.spawn(move || {
-                    let mut worker_engine = Engine::with_point_batch(fork, point_batch);
-                    if let Some(token) = cancel {
-                        worker_engine.set_cancel_token(token);
-                    }
-                    let mut items = Vec::new();
-                    loop {
-                        let index = {
-                            let mut next = next_item.lock().unwrap_or_else(PoisonError::into_inner);
-                            if *next >= phase1.super_groups.len() {
-                                break;
-                            }
-                            let index = *next;
-                            *next += 1;
-                            index
-                        };
-                        let before = worker_engine.ledger_snapshot();
-                        let item = scan_super_group(
-                            &mut worker_engine,
-                            &phase1.pool,
-                            &phase1.labeled,
-                            &phase1.super_groups[index],
-                            cfg,
-                        );
-                        items.push((index, item, worker_engine.ledger().since(&before)));
-                    }
-                    (items, worker_engine.into_source())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan worker never panics"))
-            .collect()
-    });
-
-    for (items, fork) in worker_outputs {
-        engine.source_mut().join(fork);
-        for (index, item, ledger) in items {
-            slots[index] = Some((item, ledger));
-        }
-    }
-    let mut results: Vec<GroupResult> = Vec::with_capacity(groups.len());
-    let mut first_error: Option<AskError> = None;
-    for slot in slots {
-        let (item, ledger) = slot.expect("every scan item completes");
-        engine.absorb_ledger(&ledger);
-        results.extend(item.results);
-        if first_error.is_none() {
-            first_error = item.error;
-        }
-    }
-    finish_scan(engine, groups, phase1, results, first_error)
-}
-
-/// Step (3), sequentially: scans every super-group in order on the
-/// caller's engine, collecting decided verdicts and the first failing
-/// item's error. Shared by [`multiple_coverage`] and the one-worker path
-/// of [`multiple_coverage_par`] so the two can never drift apart. A failed
-/// item leaves its undecided groups out and the scan moves on — groups
-/// decidable without the refused crowd work (e.g. certified by the sample
-/// alone) still land in the partial.
-fn scan_serial<S: AnswerSource>(
+/// Step (3): drives every scan item from one loop (see the module docs)
+/// and collects the decided verdicts, in super-group order, and the
+/// earliest super-group's error.
+fn scan<S: AnswerSource>(
     engine: &mut Engine<S>,
     phase1: &PhaseOne,
     cfg: &MultipleConfig,
 ) -> (Vec<GroupResult>, Option<AskError>) {
-    let mut results: Vec<GroupResult> = Vec::new();
-    let mut first_error: Option<AskError> = None;
-    for sg in &phase1.super_groups {
-        let item = scan_super_group(engine, &phase1.pool, &phase1.labeled, sg, cfg);
-        results.extend(item.results);
-        if first_error.is_none() {
-            first_error = item.error;
+    let mut items: Vec<Item> = phase1
+        .super_groups
+        .iter()
+        .map(|sg| Item::new(sg, phase1, cfg))
+        .collect();
+    loop {
+        for item in &mut items {
+            item.advance(engine, phase1, cfg);
         }
+        let runs: Vec<&mut GroupCoverageRun> = items.iter_mut().flat_map(Item::waiting).collect();
+        if runs.is_empty() {
+            break;
+        }
+        let sets: Vec<SetQuery> = runs
+            .iter()
+            .flat_map(|run| {
+                let target = run.target();
+                run.wave().map(move |objects| (objects, target))
+            })
+            .collect();
+        let batch = engine.ask_sets(&sets);
+        let mut slots = &batch.slots[..];
+        for run in runs {
+            let (wave, rest) = slots.split_at(run.wave().len());
+            run.deliver(wave, batch.error.as_ref());
+            slots = rest;
+        }
+    }
+    let mut results = Vec::new();
+    let mut first_error = None;
+    for item in items {
+        let Item::Done(item) = item else {
+            unreachable!("the scan ends once no item waits")
+        };
+        results.extend(item.results);
+        first_error = first_error.or(item.error);
     }
     (results, first_error)
 }
@@ -391,9 +298,8 @@ fn finish_scan<S: AnswerSource>(
         super_groups: phase1.super_groups,
         tasks: engine.ledger().since(&phase1.before),
     };
-    // One event per super-group, emitted deterministically in super-group
-    // order after any parallel scan has joined — so a job's timeline reads
-    // the same whatever `IntraJobParallelism` it ran at.
+    // One event per super-group, emitted in super-group order once the
+    // whole scan is decided.
     if engine.probe().is_attached() {
         let total = report.super_groups.len();
         for (index, sg) in report.super_groups.iter().enumerate() {
@@ -420,91 +326,220 @@ fn finish_scan<S: AnswerSource>(
     }
 }
 
-/// What one scan worker hands back at the join: its decided items (with
-/// per-item ledgers, tagged by super-group index) and its source fork.
-type WorkerOutput<S> = (Vec<(usize, ScanItem, TaskLedger)>, S);
-
 /// One scan item's outcome: the verdicts it decided, and the first error it
 /// ran into (undecided groups are simply absent — a partial verdict would
 /// not be sound).
+#[derive(Debug)]
 struct ScanItem {
     results: Vec<GroupResult>,
     error: Option<AskError>,
 }
 
-/// Decides one super-group (lines 3–13 of Algorithm 2) from the phase-1
-/// state alone. Self-contained by construction: it reads the shared sample
-/// `L` and pool but owns every intermediate it produces, so items can run
-/// in any order — or concurrently — without changing any verdict.
-fn scan_super_group<S: AnswerSource>(
-    engine: &mut Engine<S>,
-    pool: &[ObjectId],
-    labeled: &LabeledStore,
-    sg: &SuperGroup,
-    cfg: &MultipleConfig,
-) -> ScanItem {
-    let mut results = Vec::with_capacity(sg.members.len());
-    if sg.is_singleton() {
-        let g = sg.members[0];
-        return match check_single_group(engine, pool, labeled, &g, cfg) {
-            Ok(result) => ScanItem {
-                results: vec![result],
-                error: None,
-            },
-            Err(error) => ScanItem {
-                results,
-                error: Some(error),
-            },
-        };
+/// One super-group's decision (lines 3–13 of Algorithm 2) as a state
+/// machine over resumable Group-Coverage runs. It reads the shared sample
+/// `L` and pool but owns every intermediate it produces, so items advance
+/// side by side without changing any verdict.
+#[derive(Debug)]
+enum Item<'p> {
+    /// Lines 5-6: a multi-member super-group searches its union with the
+    /// residual threshold.
+    Union {
+        sg: &'p SuperGroup,
+        run: GroupCoverageRun<'p>,
+    },
+    /// Member checks, in member order: a singleton's one check, or a
+    /// covered union's penalty re-runs.
+    Checks(Vec<Check<'p>>),
+    /// Decided.
+    Done(ScanItem),
+}
+
+impl<'p> Item<'p> {
+    fn new(sg: &'p SuperGroup, phase1: &'p PhaseOne, cfg: &MultipleConfig) -> Self {
+        if sg.is_singleton() {
+            return Item::Checks(vec![Check::new(sg.members[0], phase1, cfg)]);
+        }
+        let sample_total: usize = sg
+            .members
+            .iter()
+            .map(|g| phase1.labeled.count(&Target::group(*g)))
+            .sum();
+        let mut dnc = cfg.dnc.clone();
+        dnc.collect_witnesses = cfg.resolve_supergroup_members;
+        Item::Union {
+            sg,
+            run: GroupCoverageRun::new(
+                &phase1.pool,
+                sg.target(),
+                cfg.tau.saturating_sub(sample_total),
+                cfg.n,
+                &dnc,
+            ),
+        }
     }
 
-    // Lines 5-6: search the union with the residual threshold.
-    let sample_total: usize = sg
-        .members
-        .iter()
-        .map(|g| labeled.count(&Target::group(*g)))
-        .sum();
-    let tau_prime = cfg.tau.saturating_sub(sample_total);
-    let mut dnc = cfg.dnc.clone();
-    dnc.collect_witnesses = cfg.resolve_supergroup_members;
-    let out = match group_coverage(engine, pool, &sg.target(), tau_prime, cfg.n, &dnc) {
-        Ok(out) => out,
-        Err(interrupted) => {
-            return ScanItem {
-                results,
-                error: Some(interrupted.error),
-            }
+    /// Advances the item on the answers its runs hold, until every live
+    /// run waits for a wave or the item is decided. An uncovered union's
+    /// witness labels are asked here, as a request of their own.
+    fn advance<S: AnswerSource>(
+        &mut self,
+        engine: &mut Engine<S>,
+        phase1: &'p PhaseOne,
+        cfg: &MultipleConfig,
+    ) {
+        if let Item::Union { sg, run } = self {
+            let sg = *sg;
+            let Some(result) = run.advance() else {
+                return;
+            };
+            *self = match result {
+                Err(interrupted) => Item::Done(ScanItem {
+                    results: Vec::new(),
+                    error: Some(interrupted.error),
+                }),
+                // Lines 8-12: penalty — the union is covered, so nothing is
+                // known about individual members; every member re-runs. A
+                // member whose re-run fails stays undecided, but cheaper
+                // siblings (e.g. certified by the sample) are still decided.
+                Ok(out) if out.covered => Item::Checks(
+                    sg.members
+                        .iter()
+                        .map(|g| Check::new(*g, phase1, cfg))
+                        .collect(),
+                ),
+                Ok(out) => Item::Done(uncovered_union(
+                    engine,
+                    &phase1.labeled,
+                    sg,
+                    &out.witnesses,
+                    cfg,
+                )),
+            };
         }
-    };
-
-    if out.covered {
-        // Lines 8-12: penalty — the union is covered, so nothing is known
-        // about individual members; re-run each one. A member whose re-run
-        // fails stays undecided, but cheaper siblings (e.g. certified by
-        // the sample) are still decided.
-        let mut error = None;
-        for g in &sg.members {
-            match check_single_group(engine, pool, labeled, g, cfg) {
-                Ok(result) => results.push(result),
-                Err(e) => {
-                    if error.is_none() {
-                        error = Some(e);
+        if let Item::Checks(checks) = self {
+            for check in checks.iter_mut() {
+                check.advance();
+            }
+            if checks
+                .iter()
+                .all(|check| matches!(check, Check::Decided(_)))
+            {
+                let mut item = ScanItem {
+                    results: Vec::new(),
+                    error: None,
+                };
+                for check in checks.drain(..) {
+                    match check {
+                        Check::Decided(Ok(result)) => item.results.push(result),
+                        Check::Decided(Err(error)) => {
+                            item.error = item.error.or(Some(error));
+                        }
+                        Check::Running { .. } => unreachable!("every check is decided"),
                     }
                 }
+                *self = Item::Done(item);
             }
         }
-        return ScanItem { results, error };
     }
 
-    // Line 13: the union is uncovered ⇒ every member is uncovered.
-    let witness_labels = if cfg.resolve_supergroup_members && !out.witnesses.is_empty() {
-        // Attribute exact counts: the witnesses are *all* union members
-        // remaining in the pool; one batched point pass labels them.
-        match engine.ask_point_labels_batched(&out.witnesses) {
+    /// The item's runs that wait for a wave, in member order.
+    fn waiting(&mut self) -> Vec<&mut GroupCoverageRun<'p>> {
+        match self {
+            Item::Union { run, .. } => vec![run],
+            Item::Checks(checks) => checks
+                .iter_mut()
+                .filter_map(|check| match check {
+                    Check::Running { run, .. } => Some(&mut **run),
+                    Check::Decided(_) => None,
+                })
+                .collect(),
+            Item::Done(_) => Vec::new(),
+        }
+    }
+}
+
+/// Lines 7 / 10-12 of Algorithm 2: one group's check, crediting the
+/// sample. An `Err` verdict means the group stays undecided — no partial
+/// verdict exists.
+#[derive(Debug)]
+enum Check<'p> {
+    /// Group-Coverage with the residual threshold is deciding the group.
+    Running {
+        group: Pattern,
+        sample_count: usize,
+        run: Box<GroupCoverageRun<'p>>,
+    },
+    Decided(Result<GroupResult, AskError>),
+}
+
+impl<'p> Check<'p> {
+    fn new(group: Pattern, phase1: &'p PhaseOne, cfg: &MultipleConfig) -> Self {
+        let target = Target::group(group);
+        let sample_count = phase1.labeled.count(&target);
+        let tau_prime = cfg.tau.saturating_sub(sample_count);
+        if tau_prime == 0 {
+            return Check::Decided(Ok(GroupResult {
+                group,
+                covered: true,
+                count: sample_count,
+                count_exact: false,
+            }));
+        }
+        Check::Running {
+            group,
+            sample_count,
+            run: Box::new(GroupCoverageRun::new(
+                &phase1.pool,
+                target,
+                tau_prime,
+                cfg.n,
+                &cfg.dnc,
+            )),
+        }
+    }
+
+    fn advance(&mut self) {
+        let Check::Running {
+            group,
+            sample_count,
+            run,
+        } = self
+        else {
+            return;
+        };
+        let Some(result) = run.advance() else {
+            return;
+        };
+        *self = Check::Decided(
+            result
+                .map(|out| GroupResult {
+                    group: *group,
+                    covered: out.covered,
+                    count: *sample_count + out.count,
+                    count_exact: !out.covered,
+                })
+                .map_err(|interrupted| interrupted.error),
+        );
+    }
+}
+
+/// Line 13: the union is uncovered, so every member is uncovered. With
+/// member resolution on, the witnesses are *all* union members remaining
+/// in the pool, and one batched point pass labels them to attribute exact
+/// counts.
+fn uncovered_union<S: AnswerSource>(
+    engine: &mut Engine<S>,
+    labeled: &LabeledStore,
+    sg: &SuperGroup,
+    witnesses: &[ObjectId],
+    cfg: &MultipleConfig,
+) -> ScanItem {
+    let witness_labels = if cfg.resolve_supergroup_members && !witnesses.is_empty() {
+        match engine.ask_point_labels_batched(witnesses) {
             Ok(labels) => labels,
             Err(error) => {
                 return ScanItem {
-                    results,
+                    results: Vec::new(),
                     error: Some(error),
                 }
             }
@@ -512,19 +547,24 @@ fn scan_super_group<S: AnswerSource>(
     } else {
         Vec::new()
     };
-    for g in &sg.members {
-        let target = Target::group(*g);
-        // The sample's members plus this union's freshly-labeled witnesses
-        // (witnesses come from the pool, so the two sets are disjoint).
-        let known =
-            labeled.count(&target) + witness_labels.iter().filter(|l| target.matches(l)).count();
-        results.push(GroupResult {
-            group: *g,
-            covered: false,
-            count: known,
-            count_exact: cfg.resolve_supergroup_members,
-        });
-    }
+    let results = sg
+        .members
+        .iter()
+        .map(|g| {
+            let target = Target::group(*g);
+            // The sample's members plus this union's freshly-labeled
+            // witnesses (witnesses come from the pool, so the two sets are
+            // disjoint).
+            let known = labeled.count(&target)
+                + witness_labels.iter().filter(|l| target.matches(l)).count();
+            GroupResult {
+                group: *g,
+                covered: false,
+                count: known,
+                count_exact: cfg.resolve_supergroup_members,
+            }
+        })
+        .collect();
     ScanItem {
         results,
         error: None,
@@ -556,42 +596,127 @@ fn partial_report(
     }
 }
 
-/// Lines 7 / 10-12 of Algorithm 2: decide one group, crediting the sample.
-/// An `Err` means the group stays undecided — no partial verdict exists.
-fn check_single_group<S: AnswerSource>(
+/// The sequential scan the interleaved one replaced: each item decided in
+/// turn, each Group-Coverage run through [`group_coverage`] with one
+/// request per wave. Kept as the oracle the interleaved scan is tested
+/// against; also returns how many items asked a set query.
+#[cfg(test)]
+#[allow(clippy::result_large_err)] // the Err carries the partial report by design
+pub(crate) fn multiple_coverage_sequential<S: AnswerSource, R: Rng + ?Sized>(
     engine: &mut Engine<S>,
     pool: &[ObjectId],
-    labeled: &LabeledStore,
-    group: &Pattern,
+    groups: &[Pattern],
     cfg: &MultipleConfig,
-) -> Result<GroupResult, AskError> {
-    let target = Target::group(*group);
-    let sample_count = labeled.count(&target);
-    let tau_prime = cfg.tau.saturating_sub(sample_count);
-    if tau_prime == 0 {
-        return Ok(GroupResult {
+    rng: &mut R,
+) -> (Result<MultipleReport, Interrupted<MultipleReport>>, usize) {
+    use crate::group_coverage::group_coverage;
+
+    fn check_single_group<S: AnswerSource>(
+        engine: &mut Engine<S>,
+        phase1: &PhaseOne,
+        group: &Pattern,
+        cfg: &MultipleConfig,
+    ) -> Result<GroupResult, AskError> {
+        let target = Target::group(*group);
+        let sample_count = phase1.labeled.count(&target);
+        let tau_prime = cfg.tau.saturating_sub(sample_count);
+        if tau_prime == 0 {
+            return Ok(GroupResult {
+                group: *group,
+                covered: true,
+                count: sample_count,
+                count_exact: false,
+            });
+        }
+        let out = group_coverage(engine, &phase1.pool, &target, tau_prime, cfg.n, &cfg.dnc)
+            .map_err(|i| i.error)?;
+        Ok(GroupResult {
             group: *group,
-            covered: true,
-            count: sample_count,
-            count_exact: false,
-        });
+            covered: out.covered,
+            count: sample_count + out.count,
+            count_exact: !out.covered,
+        })
     }
-    let out =
-        group_coverage(engine, pool, &target, tau_prime, cfg.n, &cfg.dnc).map_err(|i| i.error)?;
-    Ok(GroupResult {
-        group: *group,
-        covered: out.covered,
-        count: sample_count + out.count,
-        count_exact: !out.covered,
-    })
+
+    fn scan_super_group<S: AnswerSource>(
+        engine: &mut Engine<S>,
+        phase1: &PhaseOne,
+        sg: &SuperGroup,
+        cfg: &MultipleConfig,
+    ) -> ScanItem {
+        if sg.is_singleton() {
+            return match check_single_group(engine, phase1, &sg.members[0], cfg) {
+                Ok(result) => ScanItem {
+                    results: vec![result],
+                    error: None,
+                },
+                Err(error) => ScanItem {
+                    results: Vec::new(),
+                    error: Some(error),
+                },
+            };
+        }
+        let sample_total: usize = sg
+            .members
+            .iter()
+            .map(|g| phase1.labeled.count(&Target::group(*g)))
+            .sum();
+        let mut dnc = cfg.dnc.clone();
+        dnc.collect_witnesses = cfg.resolve_supergroup_members;
+        let tau_prime = cfg.tau.saturating_sub(sample_total);
+        let out = match group_coverage(engine, &phase1.pool, &sg.target(), tau_prime, cfg.n, &dnc) {
+            Ok(out) => out,
+            Err(interrupted) => {
+                return ScanItem {
+                    results: Vec::new(),
+                    error: Some(interrupted.error),
+                }
+            }
+        };
+        if !out.covered {
+            return uncovered_union(engine, &phase1.labeled, sg, &out.witnesses, cfg);
+        }
+        let mut item = ScanItem {
+            results: Vec::new(),
+            error: None,
+        };
+        for g in &sg.members {
+            match check_single_group(engine, phase1, g, cfg) {
+                Ok(result) => item.results.push(result),
+                Err(error) => item.error = item.error.or(Some(error)),
+            }
+        }
+        item
+    }
+
+    let phase1 = match phase_one(engine, pool, groups, cfg, rng) {
+        Ok(phase1) => phase1,
+        Err(interrupted) => return (Err(interrupted), 0),
+    };
+    let mut results = Vec::new();
+    let mut first_error = None;
+    let mut asking = 0;
+    for sg in &phase1.super_groups {
+        let before = engine.ledger().set_queries();
+        let item = scan_super_group(engine, &phase1, sg, cfg);
+        asking += usize::from(engine.ledger().set_queries() > before);
+        results.extend(item.results);
+        first_error = first_error.or(item.error);
+    }
+    (
+        finish_scan(engine, groups, phase1, results, first_error),
+        asking,
+    )
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::engine::GroundTruth;
+    use crate::engine::{Batch, GroundTruth, LabelBatch, SetBatch};
     use crate::engine::{PerfectSource, VecGroundTruth};
+    use crate::group_coverage::group_coverage;
     use crate::schema::Labels;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -766,50 +891,165 @@ mod tests {
         assert_eq!(order, groups_1d(3));
     }
 
-    /// The sharded scan is a pure wall-clock knob: outcomes, super-groups
-    /// and the logical ledger are byte-identical for any worker count,
-    /// including the degenerate 1-worker path and the plain sequential
-    /// driver.
-    #[test]
-    fn parallel_scan_is_byte_identical_to_serial() {
-        let truth = truth_1d(&[900, 60, 30, 25, 10, 40]);
-        for resolve in [false, true] {
+    /// A perfect oracle that logs every set query it answers, with its
+    /// target, and counts the requests it receives; it refuses every set
+    /// past the first `allow`.
+    pub(crate) struct QuestionLog<'a> {
+        inner: PerfectSource<'a, VecGroundTruth>,
+        pub(crate) asked: Vec<(Vec<ObjectId>, String)>,
+        pub(crate) requests: usize,
+        allow: usize,
+    }
+
+    impl<'a> QuestionLog<'a> {
+        pub(crate) fn new(truth: &'a VecGroundTruth) -> Self {
+            Self::capped(truth, usize::MAX)
+        }
+
+        pub(crate) fn capped(truth: &'a VecGroundTruth, allow: usize) -> Self {
+            Self {
+                inner: PerfectSource::new(truth),
+                asked: Vec::new(),
+                requests: 0,
+                allow,
+            }
+        }
+
+        /// The asked `(set, target)` questions as a sorted multiset.
+        pub(crate) fn multiset(&self) -> Vec<(Vec<ObjectId>, String)> {
+            let mut asked = self.asked.clone();
+            asked.sort_unstable();
+            asked
+        }
+    }
+
+    impl AnswerSource for QuestionLog<'_> {
+        fn try_answer_set(
+            &mut self,
+            objects: &[ObjectId],
+            target: &Target,
+        ) -> Result<bool, AskError> {
+            if self.asked.len() == self.allow {
+                return Err(AskError::SourceFailed("cap".into()));
+            }
+            self.asked.push((objects.to_vec(), target.to_string()));
+            self.inner.try_answer_set(objects, target)
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            self.inner.try_answer_point_labels(object)
+        }
+
+        fn try_answer_point_labels_many(&mut self, objects: &[ObjectId]) -> LabelBatch {
+            self.requests += 1;
+            self.inner.try_answer_point_labels_many(objects)
+        }
+
+        fn try_answer_sets_many(&mut self, sets: &[SetQuery<'_>]) -> SetBatch {
+            self.requests += 1;
+            Batch::one_at_a_time(sets, |(objects, target)| {
+                self.try_answer_set(objects, target)
+            })
+        }
+    }
+
+    /// Deterministic pseudo-random counts: `cells` groups, the first a
+    /// majority, the rest drawn below `max_minority`.
+    fn random_counts(cells: usize, max_minority: usize, seed: u64) -> Vec<usize> {
+        let mut state = seed.wrapping_mul(2654435761).wrapping_add(12345);
+        let mut counts = vec![600];
+        for _ in 1..cells {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            counts.push((state >> 33) as usize % max_minority);
+        }
+        counts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The interleaved scan decides exactly what the sequential scan
+        /// decides: the same report JSON, the same ledger and the same
+        /// multiset of asked `(set, target)` questions, with resolution on
+        /// and off and with sibling-only (intersectional) aggregation on and
+        /// off. It never takes more requests, and takes fewer as soon as two
+        /// items ask a set query.
+        #[test]
+        fn prop_interleaved_scan_matches_the_sequential_scan(
+            cells in 2usize..9,
+            max_minority in 1usize..90,
+            tau in 5usize..70,
+            n in 1usize..60,
+            seed in 0u64..10_000,
+            resolve in proptest::bool::ANY,
+            multi in proptest::bool::ANY,
+        ) {
+            let truth = truth_1d(&random_counts(cells, max_minority, seed));
             let cfg = MultipleConfig {
+                tau,
+                n,
+                multi,
                 resolve_supergroup_members: resolve,
                 ..MultipleConfig::default()
             };
-            let mut serial_engine = Engine::with_point_batch(PerfectSource::new(&truth), cfg.n);
+            let groups = groups_1d(cells);
+            let pool = truth.all_ids();
+
+            let mut engine = Engine::with_point_batch(QuestionLog::new(&truth), n);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let interleaved = multiple_coverage(&mut engine, &pool, &groups, &cfg, &mut rng).unwrap();
+
+            let mut oracle = Engine::with_point_batch(QuestionLog::new(&truth), n);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (sequential, asking) =
+                multiple_coverage_sequential(&mut oracle, &pool, &groups, &cfg, &mut rng);
+            let sequential = sequential.unwrap();
+
+            prop_assert_eq!(
+                serde_json::to_string(&interleaved).unwrap(),
+                serde_json::to_string(&sequential).unwrap()
+            );
+            prop_assert_eq!(engine.ledger(), oracle.ledger());
+            prop_assert_eq!(engine.source().multiset(), oracle.source().multiset());
+            let (requests, oracle_requests) = (engine.source().requests, oracle.source().requests);
+            prop_assert!(requests <= oracle_requests);
+            if asking >= 2 {
+                prop_assert!(requests < oracle_requests, "{requests} vs {oracle_requests}");
+            }
+        }
+    }
+
+    /// A scan cut part-way reports the earliest failing item's error, and
+    /// every verdict it does report is the uncut run's.
+    #[test]
+    fn a_cut_scan_keeps_only_sound_verdicts() {
+        let truth = truth_1d(&[900, 60, 30, 25, 10, 40]);
+        let cfg = MultipleConfig {
+            resolve_supergroup_members: true,
+            ..MultipleConfig::default()
+        };
+        let pool = truth.all_ids();
+        let (full, _) = run(&truth, 6, &cfg, 42);
+        let full_sets = {
+            let mut engine = Engine::with_point_batch(QuestionLog::new(&truth), cfg.n);
             let mut rng = SmallRng::seed_from_u64(42);
-            let serial = multiple_coverage(
-                &mut serial_engine,
-                &truth.all_ids(),
-                &groups_1d(6),
-                &cfg,
-                &mut rng,
-            )
-            .unwrap();
-            let serial_json = serde_json::to_string(&serial).unwrap();
-            for workers in [1usize, 2, 4, 8] {
-                let mut engine = Engine::with_point_batch(PerfectSource::new(&truth), cfg.n);
-                let mut rng = SmallRng::seed_from_u64(42);
-                let parallel = multiple_coverage_par(
-                    &mut engine,
-                    &truth.all_ids(),
-                    &groups_1d(6),
-                    &cfg,
-                    &mut rng,
-                    IntraJobParallelism(workers),
-                )
-                .unwrap();
+            multiple_coverage(&mut engine, &pool, &groups_1d(6), &cfg, &mut rng).unwrap();
+            engine.ledger().set_queries() as usize
+        };
+        for allow in [0, 1, full_sets / 3, full_sets / 2, full_sets - 1] {
+            let mut engine = Engine::with_point_batch(QuestionLog::capped(&truth, allow), cfg.n);
+            let mut rng = SmallRng::seed_from_u64(42);
+            let cut = multiple_coverage(&mut engine, &pool, &groups_1d(6), &cfg, &mut rng)
+                .expect_err("the cap cuts the scan");
+            assert_eq!(cut.error, AskError::SourceFailed("cap".into()));
+            assert_eq!(engine.ledger().set_queries() as usize, allow);
+            for result in &cut.partial.results {
                 assert_eq!(
-                    serde_json::to_string(&parallel).unwrap(),
-                    serial_json,
-                    "workers {workers}, resolve {resolve}"
-                );
-                assert_eq!(
-                    engine.ledger(),
-                    serial_engine.ledger(),
-                    "ledger diverged at workers {workers}, resolve {resolve}"
+                    Some(result),
+                    full.result_for(&result.group),
+                    "allow {allow}"
                 );
             }
         }

@@ -19,7 +19,7 @@
 //!   never called (no formatting, no allocation) unless a probe is
 //!   actually attached;
 //! * probes are `Send + Sync` and shared by `Arc`, so one listener can
-//!   hear many engines (a parallel scan's workers, a whole worker pool)
+//!   hear many engines (a whole worker pool)
 //!   without coordination beyond its own interior mutability.
 //!
 //! ```

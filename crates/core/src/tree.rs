@@ -11,7 +11,7 @@
 //! ([`Engine::ask_sets`]); each pending node then [`Held`] its answer until
 //! the driver reaches it in its own order.
 
-use crate::engine::{AnswerSource, Engine, ObjectId};
+use crate::engine::{AnswerSource, Engine, ObjectId, SetQuery};
 use crate::error::AskError;
 use crate::target::Target;
 use std::collections::VecDeque;
@@ -31,35 +31,45 @@ pub(crate) enum Held {
     Failed(u32),
 }
 
-/// Asks waves through the engine and keeps the error of every wave that
-/// came back short, so a driver that reaches an undelivered slot stops
-/// with that wave's error instead of asking again.
+/// Keeps the error of every wave that came back short, so a driver that
+/// reaches an undelivered slot stops with that wave's error instead of
+/// asking again.
 #[derive(Debug, Default)]
 pub(crate) struct Waves {
     errors: Vec<AskError>,
 }
 
 impl Waves {
-    /// Asks `sets` as one wave; returns what it left for each set, in order.
+    /// Asks `sets` about `target` as one wave; returns what it left for
+    /// each set, in order.
     pub fn ask<S: AnswerSource>(
         &mut self,
         engine: &mut Engine<S>,
         sets: &[&[ObjectId]],
         target: &Target,
     ) -> Vec<Held> {
-        let batch = engine.ask_sets(sets, target);
-        let failed = batch.error.map(|error| {
-            self.errors.push(error);
-            Held::Failed(self.errors.len() as u32 - 1)
-        });
-        batch
-            .slots
-            .into_iter()
-            .map(|slot| {
-                slot.map_or_else(
-                    || failed.expect("an empty slot carries an error"),
-                    Held::Answer,
-                )
+        let queries: Vec<SetQuery> = sets.iter().map(|objects| (*objects, target)).collect();
+        let batch = engine.ask_sets(&queries);
+        self.record(&batch.slots, batch.error.as_ref())
+    }
+
+    /// What a wave's delivered `slots` leave for each of its sets, in
+    /// order; an empty slot holds `error`.
+    ///
+    /// # Panics
+    /// Panics on an empty slot without an error, which breaks the
+    /// many-question request contract.
+    pub fn record(&mut self, slots: &[Option<bool>], error: Option<&AskError>) -> Vec<Held> {
+        let mut failed = None;
+        slots
+            .iter()
+            .map(|slot| match slot {
+                Some(answer) => Held::Answer(*answer),
+                None => *failed.get_or_insert_with(|| {
+                    let error = error.expect("an empty slot carries an error");
+                    self.errors.push(error.clone());
+                    Held::Failed(self.errors.len() as u32 - 1)
+                }),
             })
             .collect()
     }

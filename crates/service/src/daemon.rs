@@ -88,13 +88,13 @@ use crate::service::{lock, ServiceConfig, ServiceReport, TenantRateLimit};
 use crate::telemetry::{tenant_of, Telemetry};
 use coverage_core::base_coverage::base_coverage;
 use coverage_core::classifier::{classifier_coverage, ClassifierConfig};
-use coverage_core::engine::{BatchAnswerSource, CancelToken, Engine, ForkableSource};
+use coverage_core::engine::{AnswerSource, BatchAnswerSource, CancelToken, Engine};
 use coverage_core::error::{AskError, Interrupted};
 use coverage_core::group_coverage::{group_coverage, DncConfig};
-use coverage_core::intersectional::intersectional_coverage_par;
+use coverage_core::intersectional::intersectional_coverage;
 use coverage_core::ledger::TaskLedger;
 use coverage_core::memo::{FactSink, FactSpill, KnowledgeStore, ReuseStats, SharedKnowledgeSource};
-use coverage_core::multiple::{multiple_coverage_par, IntraJobParallelism, MultipleConfig};
+use coverage_core::multiple::{multiple_coverage, MultipleConfig};
 use coverage_core::prelude::{Labels, ObjectId, Target};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -290,7 +290,6 @@ struct WorkerContext {
     memo_root: SharedKnowledgeSource<()>,
     global_budget: Arc<GlobalBudget>,
     per_job_budget: Option<u64>,
-    intra_job_parallelism: usize,
     telemetry: Telemetry,
     persist: Option<Arc<Persistence>>,
 }
@@ -422,8 +421,7 @@ impl<S: BatchAnswerSource + Send> AuditDaemon<S> {
     ///
     /// # Panics
     /// Panics on non-positive `config` counts (workers, point batch, store
-    /// shards, intra-job parallelism) — daemon configuration is operator
-    /// input, not tenant input.
+    /// shards) — daemon configuration is operator input, not tenant input.
     pub fn start(config: ServiceConfig, source: S) -> Self
     where
         S: 'static,
@@ -522,7 +520,6 @@ impl<S: BatchAnswerSource + Send> AuditDaemon<S> {
                     memo_root: memo_root.clone(),
                     global_budget: Arc::clone(&global_budget),
                     per_job_budget: config.budget.per_job,
-                    intra_job_parallelism: config.intra_job_parallelism,
                     telemetry: telemetry.clone(),
                     persist: persist.clone(),
                 };
@@ -1136,9 +1133,7 @@ impl WorkerContext {
                 job: id.0,
             })));
         }
-        let parallelism =
-            IntraJobParallelism(spec.intra_parallelism.unwrap_or(self.intra_job_parallelism));
-        let result = execute_algorithm(spec, &mut engine, parallelism);
+        let result = execute_algorithm(spec, &mut engine);
         let ledger = *engine.ledger();
         let crowd_tasks = budget.tasks_spent();
         let reuse = engine.source().local_reuse_stats();
@@ -1220,15 +1215,13 @@ impl coverage_core::probe::EngineProbe for JobProbe {
 
 /// Dispatches to the spec's algorithm driver, wrapping both the complete
 /// and the partial (interrupted) result into [`AuditOutcome`]. The
-/// multi-group drivers shard their super-group scan across
-/// `parallelism` threads *inside* this job, each worker asking through a
-/// fork of the job's shared-store handle (outcomes and logical ledgers are
-/// parallelism-invariant; see `coverage_core::multiple`).
+/// multi-group drivers interleave their super-group scan on the job's one
+/// engine: every live item's next wave shares one set request per step
+/// (see `coverage_core::multiple`).
 #[allow(clippy::result_large_err)] // the Err carries the partial outcome by design
-fn execute_algorithm<S: ForkableSource>(
+fn execute_algorithm<S: AnswerSource>(
     spec: &JobSpec,
     engine: &mut Engine<S>,
-    parallelism: IntraJobParallelism,
 ) -> Result<AuditOutcome, Interrupted<AuditOutcome>> {
     let mut rng = SmallRng::seed_from_u64(spec.seed);
     match &spec.kind {
@@ -1245,7 +1238,7 @@ fn execute_algorithm<S: ForkableSource>(
         )
         .map(AuditOutcome::Coverage)
         .map_err(|i| i.map_partial(AuditOutcome::Coverage)),
-        AuditKind::MultipleCoverage { groups } => multiple_coverage_par(
+        AuditKind::MultipleCoverage { groups } => multiple_coverage(
             engine,
             &spec.pool,
             groups,
@@ -1255,11 +1248,10 @@ fn execute_algorithm<S: ForkableSource>(
                 ..MultipleConfig::default()
             },
             &mut rng,
-            parallelism,
         )
         .map(AuditOutcome::Multiple)
         .map_err(|i| i.map_partial(AuditOutcome::Multiple)),
-        AuditKind::IntersectionalCoverage { schema } => intersectional_coverage_par(
+        AuditKind::IntersectionalCoverage { schema } => intersectional_coverage(
             engine,
             &spec.pool,
             schema,
@@ -1269,7 +1261,6 @@ fn execute_algorithm<S: ForkableSource>(
                 ..MultipleConfig::default()
             },
             &mut rng,
-            parallelism,
         )
         .map(AuditOutcome::Intersectional)
         .map_err(|i| i.map_partial(AuditOutcome::Intersectional)),

@@ -19,11 +19,13 @@
 //! when one fails, each request riding in it gets the error together with
 //! every label its other HITs delivered.
 //!
-//! A set request carries a whole wave of set queries about one target
-//! ([`AnswerSource::try_answer_sets_many`]); a lone set is a wave of one.
-//! So a Group-Coverage job alone in its round pays one round per wave, not
-//! one per query. The round's sets, every request's laid end to end, go to
-//! the platform as one [`BatchAnswerSource::try_answer_sets_batch`] call.
+//! A set request carries many set queries, each with its own target
+//! ([`AnswerSource::try_answer_sets_many`]); a lone set is a request of
+//! one. So a Group-Coverage job alone in its round pays one round per wave,
+//! not one per query, and a multi-group job one round per step of its
+//! interleaved scan, however many super-groups are live. The round's sets,
+//! every request's laid end to end, go to the platform as one
+//! [`BatchAnswerSource::try_answer_sets_batch`] call.
 //! That call is all-or-nothing; when it fails, the round falls back to one
 //! platform call per set, request by request, and a request stops at its
 //! first failed set (its later sets are not asked).
@@ -54,7 +56,7 @@
 
 use crate::breaker::BreakerRegistry;
 use coverage_core::engine::{
-    AnswerSource, Batch, BatchAnswerSource, LabelBatch, ObjectId, SetBatch,
+    AnswerSource, Batch, BatchAnswerSource, LabelBatch, ObjectId, SetBatch, SetQuery,
 };
 use coverage_core::error::AskError;
 use coverage_core::schema::Labels;
@@ -205,11 +207,10 @@ pub struct DispatchStats {
 }
 
 enum Question {
-    /// A set request: a wave of set queries about one target. A lone set
-    /// is a wave of one.
+    /// A set request: set queries, each with its own target. A lone set
+    /// is a request of one.
     Sets {
-        sets: Vec<Vec<ObjectId>>,
-        target: Target,
+        sets: Vec<(Vec<ObjectId>, Target)>,
     },
     /// A point-label request: one label per object. A lone label is a
     /// batch of one.
@@ -228,7 +229,7 @@ impl Question {
     fn count(&self) -> u64 {
         match self {
             Self::Point { objects } => objects.len() as u64,
-            Self::Sets { sets, .. } => sets.len() as u64,
+            Self::Sets { sets } => sets.len() as u64,
             Self::Membership { .. } => 1,
         }
     }
@@ -316,7 +317,7 @@ impl DispatchHandle {
 
 impl AnswerSource for DispatchHandle {
     fn try_answer_set(&mut self, objects: &[ObjectId], target: &Target) -> Result<bool, AskError> {
-        self.try_answer_sets_many(&[objects], target)
+        self.try_answer_sets_many(&[(objects, target)])
             .into_result()
             .map(|answers| answers[0])
     }
@@ -344,12 +345,14 @@ impl AnswerSource for DispatchHandle {
         }
     }
 
-    /// Ships the whole wave as one request, so the dispatcher serves it in
-    /// a single round.
-    fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+    /// Ships the whole set request as one request, so the dispatcher
+    /// serves it in a single round.
+    fn try_answer_sets_many(&mut self, sets: &[SetQuery<'_>]) -> SetBatch {
         match self.ask(Question::Sets {
-            sets: sets.iter().map(|objects| objects.to_vec()).collect(),
-            target: target.clone(),
+            sets: sets
+                .iter()
+                .map(|(objects, target)| (objects.to_vec(), (*target).clone()))
+                .collect(),
         }) {
             Ok(Answer::Sets(batch)) => batch,
             Ok(Answer::Failed(e)) | Err(e) => SetBatch::refused(sets.len(), e),
@@ -552,9 +555,9 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
                 Question::Point { objects } => {
                     point_requests.push((objects, request.origin, request.reply));
                 }
-                Question::Sets { sets, target } => {
+                Question::Sets { sets } => {
                     let start = set_queries.len();
-                    set_queries.extend(sets.into_iter().map(|objects| (objects, target.clone())));
+                    set_queries.extend(sets);
                     set_requests.push((start..set_queries.len(), request.origin, request.reply));
                 }
                 Question::Membership { object, target } => {
@@ -1131,9 +1134,12 @@ mod tests {
     }
 
     fn sets_question(sets: &[&[ObjectId]]) -> Question {
+        let target = Target::group(Pattern::parse("1").unwrap());
         Question::Sets {
-            sets: sets.iter().map(|objects| objects.to_vec()).collect(),
-            target: Target::group(Pattern::parse("1").unwrap()),
+            sets: sets
+                .iter()
+                .map(|objects| (objects.to_vec(), target.clone()))
+                .collect(),
         }
     }
 
@@ -1142,6 +1148,35 @@ mod tests {
             Answer::Sets(batch) => batch,
             _ => panic!("a set request is answered with a set batch"),
         }
+    }
+
+    /// One set request may carry sets about several targets: it is served
+    /// in one round and one coalesced platform call, each set about its own
+    /// target.
+    #[test]
+    fn a_set_request_with_several_targets_is_one_round() {
+        let t = truth(40, 10);
+        let ids = t.all_ids();
+        let female = Target::group(Pattern::parse("1").unwrap());
+        let male = Target::group(Pattern::parse("0").unwrap());
+        let mut source = PerfectSource::new(&t);
+        let question = Question::Sets {
+            sets: vec![
+                (ids[0..10].to_vec(), female.clone()),
+                (ids[0..10].to_vec(), male.clone()),
+                (ids[10..20].to_vec(), female),
+                (ids[10..20].to_vec(), male),
+            ],
+        };
+        let (stats, answers) = serve_round(
+            &mut source,
+            &DispatcherConfig::default(),
+            vec![("t", 1, question)],
+        );
+        let batch = set_batch(answers.into_iter().next().unwrap());
+        assert_eq!(batch.into_result(), Ok(vec![true, false, false, true]));
+        assert_eq!((stats.rounds, stats.set_batches), (1, 1));
+        assert_eq!(stats.set_queries_served, 4);
     }
 
     /// Two waves share a round and one carries an out-of-range id. The

@@ -28,7 +28,7 @@
 //!                                   └──▶ ship log  seq 1, 2, 3, …  (origin: this node)
 //!  POST /fleet/delta ──▶ absorb ───────▶ ship log                  (origin: the sender)
 //!
-//!  every anti_entropy_ms, or once SHIP_CHUNK entries were logged since the
+//!  every anti_entropy_ms, or once EARLY_ROUND entries were logged since the
 //!  last round began, for each peer, until ack reaches the round's end:
 //!    POST /fleet/delta?incarnation=I&after=ack&upto=min(end, ack + SHIP_CHUNK)
 //!         body: the log range (ack, upto] minus the entries the peer itself sent
@@ -47,11 +47,15 @@
 //! peer only the range after that peer's ack, so a round costs
 //! O(delta), and the log holds only what some peer has not acknowledged.
 //! A round ships its range in chunks of at most `SHIP_CHUNK` (512) entries,
-//! one `POST` each: both sides build one chunk's JSON tree at a time. A
-//! round also starts early once a chunk's worth of entries was logged
-//! since the last one began, so the log does not pile up a whole cadence
-//! of facts when a job buys them fast. Neither the log nor a round's
-//! memory grows with how fast the node buys facts.
+//! one `POST` each: both sides build one chunk's JSON tree at a time, and
+//! the log drops what every peer has acked after each chunk. A round also
+//! starts early once `EARLY_ROUND` (4,096) entries were logged since the
+//! last one began, so however fast a job buys facts, the log holds about
+//! that many more than the peers have acked. The trigger is eight chunks,
+//! not one: a round's JSON work takes the same CPUs as the jobs and their
+//! status reads, and a one-chunk trigger kept a round running beside any
+//! job that buys hundreds of facts per crowd round. Each entry is its own
+//! small allocation, so a long log never holds one large buffer.
 //!
 //! The receiver keeps, per sender name, the sender's *incarnation* (fresh
 //! at every join) and a watermark: the highest sequence number up to which
@@ -97,6 +101,10 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// The most ship-log entries one `/fleet/delta` `POST` carries.
 const SHIP_CHUNK: u64 = 512;
+
+/// New ship-log entries that start an anti-entropy round before its
+/// cadence is up.
+const EARLY_ROUND: u64 = 8 * SHIP_CHUNK;
 
 /// How long the router sleeps between `/stats` polls while draining.
 const DRAIN_POLL: Duration = Duration::from_millis(5);
@@ -299,8 +307,12 @@ impl Shipment {
 struct ShipLog {
     base: u64,
     /// Each entry with its origin: `None` for this node's own facts, the
-    /// sender's name for an absorbed delta.
-    entries: VecDeque<(Option<Arc<str>>, Shipment)>,
+    /// sender's name for an absorbed delta. The shipment is boxed so the
+    /// deque's own buffer stays a few bytes per entry: a job that buys
+    /// facts faster than the peers take them grows a long log, and an
+    /// inline buffer of that length would be one large allocation, which
+    /// raises the allocator's thresholds and keeps freed memory resident.
+    entries: VecDeque<(Option<Arc<str>>, Box<Shipment>)>,
     /// The log's end when the last anti-entropy round began.
     round_began_at: u64,
 }
@@ -325,7 +337,7 @@ impl ShipLog {
             .skip(skip)
             .take(take)
             .filter(move |(origin, _)| origin.is_none() || origin.as_deref() != peer)
-            .map(|(_, shipment)| shipment)
+            .map(|(_, shipment)| &**shipment)
     }
 
     /// The facts in `(after, upto]` to ship a peer that acked `after` —
@@ -372,25 +384,27 @@ struct Joined {
     name: String,
     incarnation: u64,
     log: Mutex<ShipLog>,
-    /// Wakes the anti-entropy loop once a chunk's worth was logged.
+    /// Wakes the anti-entropy loop once [`EARLY_ROUND`] entries were
+    /// logged.
     grown: Condvar,
 }
 
 impl Joined {
     fn push(&self, origin: Option<&str>, shipment: Shipment) {
         let mut log = lock(&self.log);
-        log.entries.push_back((origin.map(Arc::from), shipment));
-        if log.grown() == SHIP_CHUNK {
+        log.entries
+            .push_back((origin.map(Arc::from), Box::new(shipment)));
+        if log.grown() == EARLY_ROUND {
             self.grown.notify_one();
         }
     }
 
     /// Waits until the next round is due: after `cadence`, or sooner once
-    /// a chunk's worth was logged. Marks the round's start.
+    /// [`EARLY_ROUND`] entries were logged. Marks the round's start.
     fn await_round(&self, cadence: Duration) {
         let deadline = Instant::now() + cadence;
         let mut log = lock(&self.log);
-        while log.grown() < SHIP_CHUNK {
+        while log.grown() < EARLY_ROUND {
             let Some(left) = deadline.checked_duration_since(Instant::now()) else {
                 break;
             };
@@ -706,10 +720,14 @@ impl Link {
 
     /// One round toward this peer: one chunk per `POST` until the peer
     /// has acked everything logged when the round began, or takes no more.
+    /// After each acked chunk the log drops what every peer has acked
+    /// (`others` is the lowest ack among the other peers), so a long round
+    /// does not keep what it already shipped.
     fn exchange<S: BatchAnswerSource + Send + 'static>(
         &mut self,
         daemon: &AuditDaemon<S>,
         joined: &Joined,
+        others: u64,
     ) -> io::Result<()> {
         let end = lock(&joined.log).end();
         loop {
@@ -732,6 +750,7 @@ impl Link {
             }
             let receipt = serde_json::from_str::<Receipt>(&reply).map_err(io::Error::other)?;
             self.acknowledge(receipt, upto);
+            lock(&joined.log).drop_through(self.ack.min(others));
             if upto == after || self.ack != upto || self.ack >= end {
                 return Ok(());
             }
@@ -761,8 +780,16 @@ fn anti_entropy_loop<S: BatchAnswerSource + Send + 'static>(
         if stop.load(Ordering::Acquire) {
             break;
         }
-        for link in &mut links {
-            let up = link.exchange(daemon, joined).is_ok();
+        for i in 0..links.len() {
+            let others = links
+                .iter()
+                .enumerate()
+                .filter(|(j, _)| *j != i)
+                .map(|(_, link)| link.ack)
+                .min()
+                .unwrap_or(u64::MAX);
+            let link = &mut links[i];
+            let up = link.exchange(daemon, joined, others).is_ok();
             daemon.set_peer_state(&link.label, up);
             let unacked = lock(&joined.log).unacked(link.ack, link.name.as_deref());
             daemon
@@ -1146,19 +1173,22 @@ mod tests {
         store
     }
 
-    fn fact(raw: u32) -> Shipment {
-        Shipment::Fact(WalRecord::Labels {
+    fn fact(raw: u32) -> Box<Shipment> {
+        Box::new(Shipment::Fact(WalRecord::Labels {
             object: ObjectId(raw),
             labels: Labels::single(0),
-        })
+        }))
     }
 
     #[test]
     fn ship_log_ranges_skip_the_peers_own_facts_and_dropped_prefixes() {
         let mut log = ShipLog::default();
-        log.entries.push_back((None, Shipment::Store(labels(0..3))));
         log.entries
-            .push_back((Some(Arc::from("b")), Shipment::Store(labels(10..14))));
+            .push_back((None, Box::new(Shipment::Store(labels(0..3)))));
+        log.entries.push_back((
+            Some(Arc::from("b")),
+            Box::new(Shipment::Store(labels(10..14))),
+        ));
         log.entries.push_back((None, fact(20)));
         assert_eq!(log.end(), 3);
         assert_eq!(
@@ -1264,10 +1294,10 @@ mod tests {
         assert_eq!((after, upto, facts.fact_count()), (0, 5, 100));
     }
 
-    /// A chunk's worth of new entries starts the next round before its
+    /// [`EARLY_ROUND`] new entries start the next round before its
     /// cadence is up; with nothing new, a round waits the cadence out.
     #[test]
-    fn a_chunk_of_new_entries_starts_the_round_early() {
+    fn early_round_entries_start_the_round_early() {
         let joined = Joined {
             name: "a".into(),
             incarnation: 1,
@@ -1277,14 +1307,14 @@ mod tests {
         let started = Instant::now();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                for raw in 0..SHIP_CHUNK as u32 {
-                    joined.push(None, fact(raw));
+                for raw in 0..EARLY_ROUND as u32 {
+                    joined.push(None, *fact(raw));
                 }
             });
             joined.await_round(Duration::from_secs(600));
         });
         assert!(started.elapsed() < Duration::from_secs(300));
-        assert_eq!(lock(&joined.log).round_began_at, SHIP_CHUNK);
+        assert_eq!(lock(&joined.log).round_began_at, EARLY_ROUND);
         let started = Instant::now();
         joined.await_round(Duration::from_millis(20));
         assert!(started.elapsed() >= Duration::from_millis(20));

@@ -10,14 +10,16 @@
 //! decides from facts never get here and are free; a job can only exhaust
 //! its budget with genuinely fresh crowd work.
 //!
-//! A set query arrives as a wave (a lone set is a wave of one), and point
-//! labels as a batch. A request the caps cannot afford in full is cut, not
-//! refused whole: the governor charges and forwards the longest prefix both
-//! caps admit, then refuses the rest with the [`BudgetSnapshot`] its first
-//! refused question would have met asked alone. Nothing unaffordable is
-//! sent, and the questions that were affordable are bought and kept. A
-//! wave holds only questions its job is certain to ask, so a cut wave buys
-//! nothing the one-at-a-time job would not have bought.
+//! Set queries arrive as a set request (a lone set is a request of one;
+//! a multi-group scan sends the waves of all its live runs, each set with
+//! its own target, as one), and point labels as a batch. A request the caps
+//! cannot afford in full is cut, not refused whole: the governor charges
+//! and forwards the longest prefix both caps admit, then refuses the rest
+//! with the [`BudgetSnapshot`] its first refused question would have met
+//! asked alone. Nothing unaffordable is sent, and the questions that were
+//! affordable are bought and kept. A request holds only questions its job
+//! is certain to ask, so a cut request buys nothing the one-at-a-time job
+//! would not have bought.
 //!
 //! Coverage algorithms ask questions through the fallible [`AnswerSource`]
 //! interface, so exhaustion is *data*, not control flow: `GovernedSource`
@@ -28,7 +30,7 @@
 //! [`Exhausted`](crate::job::JobStatus::Exhausted). Nothing panics and no
 //! unwinding crosses any layer.
 
-use coverage_core::engine::{AnswerSource, Batch, LabelBatch, ObjectId, SetBatch};
+use coverage_core::engine::{AnswerSource, Batch, LabelBatch, ObjectId, SetBatch, SetQuery};
 use coverage_core::error::{AskError, BudgetSnapshot};
 use coverage_core::ledger::batched_tasks;
 #[cfg(test)]
@@ -299,7 +301,7 @@ impl<S> GovernedSource<S> {
 
 impl<S: AnswerSource> AnswerSource for GovernedSource<S> {
     fn try_answer_set(&mut self, objects: &[ObjectId], target: &Target) -> Result<bool, AskError> {
-        self.try_answer_sets_many(&[objects], target)
+        self.try_answer_sets_many(&[(objects, target)])
             .into_result()
             .map(|answers| answers[0])
     }
@@ -319,14 +321,14 @@ impl<S: AnswerSource> AnswerSource for GovernedSource<S> {
         self.inner.try_answer_membership(object, target)
     }
 
-    /// Charges and forwards the longest affordable prefix of the wave as
-    /// one request, then refuses the rest with the snapshot the first
+    /// Charges and forwards the longest affordable prefix of the request
+    /// as one request, then refuses the rest with the snapshot the first
     /// refused set would have met asked alone.
-    fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+    fn try_answer_sets_many(&mut self, sets: &[SetQuery<'_>]) -> SetBatch {
         let inner = &mut self.inner;
         self.budget
             .forward_prefix(Work::Sets, sets.len(), |admitted| {
-                inner.try_answer_sets_many(&sets[..admitted], target)
+                inner.try_answer_sets_many(&sets[..admitted])
             })
     }
 
@@ -476,7 +478,8 @@ mod tests {
     fn set_wave_admits_the_prefix_single_asks_would() {
         let t = truth(200, 20);
         let ids = t.all_ids();
-        let sets: Vec<&[ObjectId]> = ids.chunks(5).collect();
+        let female = female();
+        let sets: Vec<SetQuery> = ids.chunks(5).map(|set| (set, &female)).collect();
         // (job cap, global cap, labels bought first, sets asked)
         let cases = [
             (Some(6), None, 0, 10),     // the job cap bites at 6 sets
@@ -495,14 +498,14 @@ mod tests {
                 );
                 src.try_answer_point_labels_many(&ids[..labels]);
                 let (delivered, error) = if wave {
-                    let batch = src.try_answer_sets_many(&sets[..wanted], &female());
+                    let batch = src.try_answer_sets_many(&sets[..wanted]);
                     assert_eq!(batch.slots.len(), wanted);
                     (batch.answered_prefix(), batch.error)
                 } else {
                     let mut delivered = 0;
                     let mut error = None;
-                    for objects in &sets[..wanted] {
-                        match src.try_answer_set(objects, &female()) {
+                    for (objects, target) in &sets[..wanted] {
+                        match src.try_answer_set(objects, target) {
                             Ok(_) => delivered += 1,
                             Err(e) => {
                                 error = Some(e);

@@ -182,20 +182,12 @@ pub struct JobSpec {
     /// Optional per-job crowd-task budget; `None` defers to the service's
     /// default policy.
     pub budget: Option<u64>,
-    /// Worker threads this one job may use for its super-group scan
-    /// (`multiple_coverage` / `intersectional_coverage` only — the other
-    /// algorithms are single scans). `None` defers to the service's
-    /// [`ServiceConfig::intra_job_parallelism`](crate::ServiceConfig)
-    /// default; outcomes and logical ledgers are identical whatever the
-    /// value, only the job's wall-clock changes.
-    pub intra_parallelism: Option<usize>,
     /// Scheduling priority: a higher value runs earlier when workers are
     /// contended. `None` defers to the service's
     /// [`ServiceConfig::default_priority`](crate::ServiceConfig); `Some(0)`
-    /// is **valid** (the least urgent class — unlike
-    /// [`JobSpec::intra_parallelism`], where zero workers is meaningless,
-    /// every `u32` names a legitimate priority, so [`JobSpec::validate`]
-    /// accepts the full range). Ties run in submission order, and waiting
+    /// is **valid** (the least urgent class — every `u32` names a
+    /// legitimate priority, so [`JobSpec::validate`] accepts the full
+    /// range). Ties run in submission order, and waiting
     /// jobs age upward so a low priority delays a job but never starves it
     /// (see [`ServiceConfig::priority_aging`](crate::ServiceConfig)).
     /// Priority never changes a job's outcome — only when it runs.
@@ -214,7 +206,6 @@ impl JobSpec {
             n: 50,
             seed: 0,
             budget: None,
-            intra_parallelism: None,
             priority: None,
         }
     }
@@ -245,14 +236,6 @@ impl JobSpec {
         self
     }
 
-    /// Lets this job shard its super-group scan across `workers` threads
-    /// (see [`JobSpec::intra_parallelism`]). Zero is representable and
-    /// rejected by [`JobSpec::validate`] when the job is about to run.
-    pub fn intra_parallelism(mut self, workers: usize) -> Self {
-        self.intra_parallelism = Some(workers);
-        self
-    }
-
     /// Sets the scheduling priority (higher runs earlier; zero is the
     /// valid least-urgent class — see [`JobSpec::priority`]).
     pub fn priority(mut self, priority: u32) -> Self {
@@ -268,18 +251,17 @@ impl JobSpec {
     /// the offending job, as an `Err`, never a panic.
     ///
     /// Optional knobs validate uniformly: an **absent** (`None`) knob is
-    /// always fine (the service default applies), and a **present** value
-    /// is checked only against that knob's own domain —
-    /// [`JobSpec::intra_parallelism`] via [`require_positive_knob`] (zero
-    /// threads cannot run anything), while [`JobSpec::priority`] and
-    /// [`JobSpec::budget`] accept their full ranges (priority `0` is the
-    /// least-urgent class; budget `0` is an immediately-exhausted cap —
+    /// always fine (the service default applies), and [`JobSpec::priority`]
+    /// and [`JobSpec::budget`] accept their full ranges (priority `0` is
+    /// the least-urgent class; budget `0` is an immediately-exhausted cap —
     /// both are meaningful tenant choices, not spec errors).
+    ///
+    /// Bodies written by older clients carry an `intra_parallelism` field
+    /// (at least as `null`); the decoder ignores it, whatever its value.
     pub fn validate(&self) -> Result<(), String> {
         if self.n == 0 {
             return Err("subset size n must be positive".to_string());
         }
-        require_positive_knob("intra-job parallelism", self.intra_parallelism)?;
         match &self.kind {
             AuditKind::MultipleCoverage { groups } if groups.is_empty() => {
                 Err("multiple_coverage needs at least one group".to_string())
@@ -294,18 +276,6 @@ impl JobSpec {
             }
             _ => Ok(()),
         }
-    }
-}
-
-/// The uniform gate for optional positive-count knobs on a [`JobSpec`]:
-/// `None` (knob unset, service default applies) passes, `Some(0)` is
-/// rejected with a consistent message, any positive value passes. Knobs
-/// whose whole range is meaningful (priority, budget) don't go through
-/// this — see [`JobSpec::validate`] for the per-knob domains.
-pub fn require_positive_knob(name: &str, value: Option<usize>) -> Result<(), String> {
-    match value {
-        Some(0) => Err(format!("{name} must be positive when set")),
-        _ => Ok(()),
     }
 }
 
@@ -643,9 +613,7 @@ mod tests {
         assert_eq!(back, spec);
     }
 
-    /// Regression: optional knobs validate uniformly. A present-but-zero
-    /// value is rejected only where zero is outside the knob's domain
-    /// (`intra_parallelism` — zero threads run nothing); `priority: 0` and
+    /// Regression: optional knobs validate uniformly. `priority: 0` and
     /// `budget: 0` are legitimate tenant choices and must pass, and every
     /// absent knob passes.
     #[test]
@@ -666,17 +634,7 @@ mod tests {
             base().budget(0).validate().is_ok(),
             "zero budget is a valid immediately-exhausted cap"
         );
-        let err = base().intra_parallelism(0).validate().unwrap_err();
-        assert_eq!(err, "intra-job parallelism must be positive when set");
-        assert!(base().intra_parallelism(1).validate().is_ok());
         assert!(base().priority(u32::MAX).validate().is_ok());
-        // The shared gate itself.
-        assert!(require_positive_knob("x", None).is_ok());
-        assert!(require_positive_knob("x", Some(2)).is_ok());
-        assert_eq!(
-            require_positive_knob("x", Some(0)).unwrap_err(),
-            "x must be positive when set"
-        );
     }
 
     #[test]

@@ -26,11 +26,12 @@
 //!   partial result discovered before the cut.
 //!
 //! Scale-out works along both axes: the worker pool runs many jobs at
-//! once, and a single giant job can shard its own super-group scan across
-//! [`JobSpec::intra_parallelism`] threads (service default:
-//! [`ServiceConfig::intra_job_parallelism`]) while the shared store is
-//! lock-striped over [`ServiceConfig::store_shards`] shards — neither knob
-//! changes any verdict or logical ledger, only wall-clock.
+//! once, and a single giant multi-group job interleaves its own
+//! super-group scan, sending every live item's next wave as one set
+//! request, so it pays the crowd rounds of its longest Group-Coverage run
+//! rather than the sum over its items. The shared store is lock-striped
+//! over [`ServiceConfig::store_shards`] shards, which changes no verdict
+//! or logical ledger, only contention.
 //!
 //! The pool dispatches by **priority** ([`JobSpec::priority`], default
 //! [`ServiceConfig::default_priority`]): higher runs first, ties in

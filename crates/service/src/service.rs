@@ -81,10 +81,6 @@ pub struct ServiceConfig {
     /// verdicts by query hash). Purely a contention knob: any count yields
     /// identical answers, and identical `ReuseStats` for serial runs.
     pub store_shards: usize,
-    /// Default super-group-scan threads per job, for specs that leave
-    /// [`JobSpec::intra_parallelism`] unset. `1` keeps every job on its own
-    /// single runner thread (the pre-scale-out behaviour).
-    pub intra_job_parallelism: usize,
     /// Base scheduling priority for specs that leave [`JobSpec::priority`]
     /// unset. Higher runs earlier; with every job at the same priority the
     /// pool dispatches in pure submission order.
@@ -222,10 +218,6 @@ impl ServiceConfig {
         assert!(self.point_batch > 0, "point batch must be positive");
         assert!(self.store_shards > 0, "need at least one store shard");
         assert!(
-            self.intra_job_parallelism > 0,
-            "intra-job parallelism must be positive"
-        );
-        assert!(
             !self.telemetry || self.trace_capacity > 0,
             "trace capacity must be positive when telemetry is on"
         );
@@ -289,7 +281,6 @@ impl Default for ServiceConfig {
             budget: BudgetPolicy::unlimited(),
             round_latency: Duration::ZERO,
             store_shards: coverage_core::memo::DEFAULT_STORE_SHARDS,
-            intra_job_parallelism: 1,
             default_priority: 0,
             priority_aging: 1,
             telemetry: true,

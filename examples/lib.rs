@@ -14,8 +14,8 @@
 //! * `budgeted_audit` — budget caps and graceful `Exhausted` outcomes.
 //! * `concurrent_audits` — nine tenants share one platform through the
 //!   scoped service: latency overlap + cross-job reuse wins.
-//! * `giant_audit` — one high-arity audit scaled inside itself (store
-//!   shards + intra-job parallelism).
+//! * `giant_audit` — one high-arity audit whose interleaved scan shares
+//!   dispatcher rounds, across store shard counts.
 //! * `daemon_audit` — the long-lived daemon behind its HTTP/JSON API:
 //!   prioritized submissions, live statuses, a mid-run cancellation and a
 //!   byte-identity check against the scoped run.

@@ -1,19 +1,24 @@
-//! Scale-out equivalence: sharding the knowledge store and parallelizing
-//! the super-group scan inside one audit are pure wall-clock knobs.
+//! Scale-out equivalence: sharding the knowledge store is a pure
+//! contention knob.
 //!
-//! The contract under test (ISSUE 4): for a consistent answer source,
-//! every one of the paper's five drivers run against a **sharded**
-//! [`SharedKnowledgeSource`] with an **intra-audit-parallel** scan produces
-//! outcomes and logical [`TaskLedger`]s **byte-identical** to the serial,
-//! single-shard baseline; and for a serial service run, the shard count
-//! does not move the [`ReuseStats`]-metered crowd spend by a single task.
+//! The contract under test: for a consistent answer source, every one of
+//! the paper's five drivers run against a **sharded**
+//! [`SharedKnowledgeSource`] produces outcomes and logical [`TaskLedger`]s
+//! **byte-identical** to the single-shard baseline; and for a serial
+//! service run, the shard count does not move the [`ReuseStats`]-metered
+//! crowd spend by a single task. The `intra_parallelism` field older
+//! clients put in a job body is accepted and ignored.
 
 use coverage_core::classifier::{classifier_coverage, ClassifierConfig};
 use coverage_core::prelude::*;
-use coverage_service::{AuditKind, AuditService, JobSpec, JobStatus, ServiceConfig, ServiceReport};
+use coverage_service::http::HttpServer;
+use coverage_service::{
+    AuditDaemon, AuditKind, AuditService, JobId, JobSpec, JobStatus, ServiceConfig, ServiceReport,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Deterministic pseudo-random two-attribute labeling (gender × skin).
 fn synth_truth(n_total: usize, density_pct: u64, seed: u64) -> VecGroundTruth {
@@ -46,16 +51,13 @@ fn female() -> Target {
 }
 
 /// Runs the paper's five drivers back to back on ONE engine and returns
-/// every outcome serialized, ready for byte comparison. `parallelism`
-/// applies to the two multi-group drivers (the other three are single
-/// scans by construction).
-fn full_audit<S: ForkableSource>(
+/// every outcome serialized, ready for byte comparison.
+fn full_audit<S: AnswerSource>(
     engine: &mut Engine<S>,
     truth: &VecGroundTruth,
     tau: usize,
     n: usize,
     seed: u64,
-    parallelism: IntraJobParallelism,
 ) -> Vec<String> {
     let pool = truth.all_ids();
     let target = female();
@@ -89,23 +91,14 @@ fn full_audit<S: ForkableSource>(
     let mut rng = SmallRng::seed_from_u64(seed);
     outcomes.push(
         serde_json::to_string(
-            &multiple_coverage_par(engine, &pool, &groups, &multiple_cfg, &mut rng, parallelism)
-                .unwrap(),
+            &multiple_coverage(engine, &pool, &groups, &multiple_cfg, &mut rng).unwrap(),
         )
         .unwrap(),
     );
     let mut rng = SmallRng::seed_from_u64(seed);
     outcomes.push(
         serde_json::to_string(
-            &intersectional_coverage_par(
-                engine,
-                &pool,
-                &schema(),
-                &multiple_cfg,
-                &mut rng,
-                parallelism,
-            )
-            .unwrap(),
+            &intersectional_coverage(engine, &pool, &schema(), &multiple_cfg, &mut rng).unwrap(),
         )
         .unwrap(),
     );
@@ -130,30 +123,26 @@ fn full_audit<S: ForkableSource>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// All five drivers: a sharded store plus an intra-audit-parallel scan
-    /// yields outcomes and logical ledgers byte-identical to the serial
-    /// single-shard baseline.
+    /// All five drivers: a sharded store yields outcomes and logical
+    /// ledgers byte-identical to the single-shard baseline.
     #[test]
-    fn sharded_parallel_audit_matches_serial_single_shard(
+    fn sharded_audit_matches_single_shard(
         n_total in 1usize..300,
         density_pct in 0u64..40,
         tau in 1usize..50,
         n in 1usize..64,
         seed in 0u64..1000,
         shards in 2usize..16,
-        workers in 2usize..6,
     ) {
         let truth = synth_truth(n_total, density_pct, seed);
 
         let mut serial = Engine::with_point_batch(
             SharedKnowledgeSource::with_shards(PerfectSource::new(&truth), 1), n);
-        let serial_outcomes =
-            full_audit(&mut serial, &truth, tau, n, seed, IntraJobParallelism::SERIAL);
+        let serial_outcomes = full_audit(&mut serial, &truth, tau, n, seed);
 
         let mut sharded = Engine::with_point_batch(
             SharedKnowledgeSource::with_shards(PerfectSource::new(&truth), shards), n);
-        let sharded_outcomes =
-            full_audit(&mut sharded, &truth, tau, n, seed, IntraJobParallelism(workers));
+        let sharded_outcomes = full_audit(&mut sharded, &truth, tau, n, seed);
 
         prop_assert_eq!(&serial_outcomes, &sharded_outcomes);
         prop_assert_eq!(serial.ledger(), sharded.ledger());
@@ -164,45 +153,53 @@ proptest! {
     }
 }
 
-/// One high-arity audit job, submitted twice to a single-worker service —
-/// once scanning serially, once sharded over 8 intra-job threads. The
-/// outcome and the job's logical ledger must be byte-identical; only
-/// wall-clock may move.
+/// Job bodies written by older clients carry `"intra_parallelism"` (at
+/// least as `null`). The field is accepted and ignored: a high-arity audit
+/// whose body carries `4`, `0` or `null` is accepted with a `201` and
+/// reports byte-identically, up to wall-clock, to the same body without
+/// the field.
 #[test]
-fn intra_parallel_job_reports_identical_outcome() {
-    let truth = synth_truth(2500, 22, 11);
-    let pool = truth.all_ids();
-    let run = |workers: usize| {
-        let mut service = AuditService::new(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        });
-        service.submit(
-            JobSpec::new(
-                "giant",
-                pool.clone(),
-                AuditKind::IntersectionalCoverage { schema: schema() },
-            )
-            .tau(40)
-            .seed(7)
-            .intra_parallelism(workers),
-        );
-        let (report, _) = service.run(PerfectSource::new(&truth));
-        let job = report.job(coverage_service::JobId(0)).unwrap().clone();
-        assert_eq!(job.status, JobStatus::Done, "{}", report.to_json());
-        job
+fn intra_parallelism_field_is_accepted_and_ignored() {
+    let truth = Arc::new(synth_truth(2500, 22, 11));
+    let spec = JobSpec::new(
+        "giant",
+        truth.all_ids(),
+        AuditKind::IntersectionalCoverage { schema: schema() },
+    )
+    .tau(40)
+    .seed(7);
+    let body = serde_json::to_string(&spec).unwrap();
+    let run = |body: &str| {
+        let daemon = Arc::new(AuditDaemon::start(
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+            SharedTruthSource::new(Arc::clone(&truth)),
+        ));
+        let server = HttpServer::serve("127.0.0.1:0", Arc::clone(&daemon)).unwrap();
+        let (code, reply) =
+            coverage_service::http::http_request(server.local_addr(), "POST", "/jobs", Some(body))
+                .unwrap();
+        assert_eq!(code, 201, "{reply}");
+        daemon.drain();
+        let mut report = daemon.report(JobId(0)).unwrap();
+        server.shutdown();
+        assert_eq!(report.status, JobStatus::Done, "{}", report.to_json());
+        report.wall_ms = 0;
+        report.phases_ms = coverage_service::PhaseDurations::default();
+        report.to_json()
     };
-    let serial = run(1);
-    let parallel = run(8);
-    assert_eq!(
-        serde_json::to_string(serial.outcome.as_ref().unwrap()).unwrap(),
-        serde_json::to_string(parallel.outcome.as_ref().unwrap()).unwrap(),
-        "outcome must not depend on intra-job parallelism"
-    );
-    assert_eq!(serial.ledger, parallel.ledger);
-    // The scan forked handles, so the job-level reuse tally still covers
-    // every logical question the audit asked.
-    assert_eq!(serial.reuse.questions(), parallel.reuse.questions());
+    let plain = run(&body);
+    for value in ["4", "0", "null"] {
+        let older = body.replacen('{', &format!("{{\"intra_parallelism\":{value},"), 1);
+        assert!(older.contains("intra_parallelism"));
+        assert_eq!(
+            run(&older),
+            plain,
+            "intra_parallelism {value} changed the report"
+        );
+    }
 }
 
 /// Shard count never changes the `ReuseStats`-metered crowd spend: a

@@ -190,7 +190,7 @@ struct PrefixCap<S> {
 
 impl<S: AnswerSource> AnswerSource for PrefixCap<S> {
     fn try_answer_set(&mut self, objects: &[ObjectId], target: &Target) -> Result<bool, AskError> {
-        self.try_answer_sets_many(&[objects], target)
+        self.try_answer_sets_many(&[(objects, target)])
             .into_result()
             .map(|answers| answers[0])
     }
@@ -199,10 +199,10 @@ impl<S: AnswerSource> AnswerSource for PrefixCap<S> {
         self.inner.try_answer_point_labels(object)
     }
 
-    fn try_answer_sets_many(&mut self, sets: &[&[ObjectId]], target: &Target) -> SetBatch {
+    fn try_answer_sets_many(&mut self, sets: &[SetQuery<'_>]) -> SetBatch {
         let admitted = (self.cap - self.spent).min(sets.len() as u64) as usize;
         self.spent += admitted as u64;
-        let mut batch = self.inner.try_answer_sets_many(&sets[..admitted], target);
+        let mut batch = self.inner.try_answer_sets_many(&sets[..admitted]);
         batch.slots.resize(sets.len(), None);
         if admitted < sets.len() {
             batch.error = batch
